@@ -4,19 +4,29 @@
         --out <path> --format json|csv [--config <file>] [--workers <int>]
 
 Config-file values are overridden by explicit flags; unknown config keys
-are rejected. Exit status is 0 iff every non-skipped check passed.
+are rejected. Exit status is 0 iff every non-skipped check passed, and 2
+when the configuration is invalid or the report path cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .errors import InvalidConfig, MalformedFile
+from .errors import InvalidConfig, MalformedFile, OutputUnwritable
 from .suites import SUITES, SuiteConfig, run_suite, write_report
 
-_CONFIG_KEYS = {"suite", "seed", "samples", "output_path", "format", "workers"}
+# Config-file key -> the JSON types its value may take.
+_CONFIG_TYPES = {
+    "suite": (str,),
+    "seed": (int,),
+    "samples": (int,),
+    "output_path": (str, type(None)),
+    "format": (str,),
+    "workers": (int,),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,10 +55,26 @@ def _load_config_file(path: str) -> dict:
         raise MalformedFile(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFile("config file must hold a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(_CONFIG_TYPES)
     if unknown:
         raise MalformedFile(f"unknown config keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        # bool is an int subclass, but true/false is not a count or a seed
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+            raise MalformedFile(f"config key {key!r} has a wrong-typed value {value!r}")
     return doc
+
+
+def _probe_output(path: str) -> None:
+    """Fail before any work when the report path cannot be opened for writing."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write report: {exc}") from exc
+    if not existed:
+        os.remove(path)
 
 
 def parse_config(argv) -> SuiteConfig:
@@ -72,23 +98,24 @@ def parse_config(argv) -> SuiteConfig:
         merged["format"] = args.format
     return SuiteConfig(
         suite=merged["suite"],
-        seed=int(merged["seed"]),
-        samples=int(merged["samples"]),
+        seed=merged["seed"],
+        samples=merged["samples"],
         output_path=merged["output_path"],
         fmt=merged["format"],
-        workers=int(merged["workers"]),
+        workers=merged["workers"],
     )
 
 
 def main(argv=None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
-    except (InvalidConfig, MalformedFile) as exc:
+        if config.output_path is not None:
+            _probe_output(config.output_path)
+        report = run_suite(config)
+        write_report(report, config)
+    except (InvalidConfig, MalformedFile, OutputUnwritable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    report = run_suite(config)
-    write_report(report, config)
 
     for c in report.checks:
         print(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -262,7 +263,8 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
     c <- c - omega dH/dc + eta, t <- t - omega dH/dt + mu, with zero-mean
     Gaussian noise whose amplitude decays as 1/iteration. Stops at
     max_iters or when the sup-norm of the active gradient falls below
-    grad_tol. Deterministic given the seed.
+    grad_tol. Deterministic given the seed. Raises DivergenceDetected when
+    the objective is not finite or exceeds 1e6 times its initial value.
     """
     rng = np.random.default_rng(config.seed)
     c = model.coeffs.copy()
@@ -287,6 +289,8 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
         objs.append(h)
         gnorms.append(gnorm)
 
+        if not math.isfinite(h):
+            raise DivergenceDetected(f"objective {h} at iteration {it}")
         if h > 1e6 * max(h0, 1e-300):
             raise DivergenceDetected(
                 f"objective {h:.3e} exceeded 1e6 x initial {h0:.3e}"

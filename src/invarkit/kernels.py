@@ -9,7 +9,9 @@ nonlinearity and Gram-matrix / selectivity diagnostics round out the module.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,7 @@ from .errors import (
     WeightsNotNormalized,
 )
 from .pooling import mex
+from .ramps import step_approx
 from .signals import FiniteGroup, Orbit, Signal, cyclic_group, normalize
 
 TEMPLATE_LAWS = ("gaussian", "uniform_sphere")
@@ -50,18 +53,32 @@ class TemplateSampler:
             raise ValueError("uniform bias law needs bias_range > 0")
 
     def draw(self, d: int, S: int, stream: int = 0):
-        """Draw S templates (rows) and biases; ``stream`` derives a substream."""
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(stream,))
-        )
-        T = rng.standard_normal((S, d))
-        if self.template_law == "uniform_sphere":
-            T /= np.linalg.norm(T, axis=1, keepdims=True)
-        if self.bias_law == "gaussian":
-            b = rng.standard_normal(S)
-        else:
-            b = rng.uniform(-self.bias_range, self.bias_range, S)
-        return T, b
+        """Draw S templates (rows) and biases; ``stream`` derives a substream.
+
+        The arrays are read-only. The most recent draw is kept and returned
+        again for an equal (sampler, d, S, stream), so at most one draw is
+        retained in the process.
+        """
+        # operator.index keeps a non-integer size an error, not a cache hit
+        index = operator.index
+        return _draw(self, index(d), index(S), index(stream))
+
+
+@functools.lru_cache(maxsize=1)
+def _draw(sampler: TemplateSampler, d: int, S: int, stream: int):
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=sampler.seed, spawn_key=(stream,))
+    )
+    T = rng.standard_normal((S, d))
+    if sampler.template_law == "uniform_sphere":
+        T /= np.linalg.norm(T, axis=1, keepdims=True)
+    if sampler.bias_law == "gaussian":
+        b = rng.standard_normal(S)
+    else:
+        b = rng.uniform(-sampler.bias_range, sampler.bias_range, S)
+    T.flags.writeable = False
+    b.flags.writeable = False
+    return T, b
 
 
 @dataclass(frozen=True)
@@ -150,8 +167,8 @@ def step_kernel_numeric(
 ) -> float:
     """Trapezoid oracle for step_kernel_exact.
 
-    The step is replaced by its ramp approximation
-    alpha * (|s|_+ - |s - 1/alpha|_+) and the product integrated on a
+    The step is replaced by its ramp approximation ``ramps.step_approx``,
+    alpha * (|s|_+ - |s - 1/alpha|_+), and the product integrated on a
     uniform b-grid.
     """
     if grid_points < 1000:
@@ -161,11 +178,8 @@ def step_kernel_numeric(
     if abs(xs) > p or abs(xs2) > p:
         raise OutOfRange("projections must lie in [-p, p]")
 
-    def ramp_step(s):
-        return alpha * (np.maximum(s, 0.0) - np.maximum(s - 1.0 / alpha, 0.0))
-
     b = np.linspace(-p, p, grid_points)
-    integrand = ramp_step(b - xs) * ramp_step(b - xs2)
+    integrand = step_approx(b - xs, alpha) * step_approx(b - xs2, alpha)
     return float(np.trapezoid(integrand, b))
 
 

@@ -10,10 +10,10 @@ template-major, bias-minor, and is part of the external contract.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatch,
@@ -69,7 +69,30 @@ def mex(values, xi: float) -> float:
         return float(np.max(v))
     if xi < -_MEX_XI_MAX:
         return float(np.min(v))
-    return float((logsumexp(xi * v) - np.log(v.size)) / xi)
+    return float((_logsumexp(xi * v) - np.log(float(v.size))) / xi)
+
+
+def _logsumexp(a: np.ndarray):
+    """log(sum(exp(a))) with the arithmetic of scipy.special.logsumexp.
+
+    The m entries equal to the maximum are split off: log1p of the shifted
+    sum of the rest over m, plus log m, plus the maximum. Without scipy's
+    array-API dispatch this costs a few microseconds on short vectors.
+    Counts go through np.log as floats, which numpy converts faster than
+    Python ints and to the same value.
+    """
+    top = a.max()
+    if not math.isfinite(top):  # inf or nan present: the unshifted form
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.log(np.exp(a).sum())
+    hit = a == top
+    m = float(np.count_nonzero(hit))
+    shifted = a - top
+    shifted[hit] = -np.inf
+    s = np.exp(shifted, out=shifted).sum()
+    if s != 0:
+        s /= m
+    return np.log1p(s) + np.log(m) + top
 
 
 def softmax_pool(values, n: int) -> float:
@@ -152,20 +175,16 @@ def layer_forward(x, layer: HWLayer) -> np.ndarray:
         raise DimensionMismatch(
             f"input dim {xv.size} != layer dim {layer.input_dim}"
         )
-    out = np.empty(layer.output_dim)
-    k = 0
-    for t in layer.templates:
-        # rows are the transformed templates g t
-        gt = t.values[layer.group.elements]
-        dots = gt @ xv
-        for b in layer.biases:
-            if layer.pooling.kind == "softmax":
-                s = dots if layer.softmax_raw else np.maximum(dots, 0.0)
-            else:
-                s = np.maximum(dots + b, 0.0)
-            out[k] = pool(s, layer.pooling)
-            k += 1
-    return out
+    # (T, |G|): row k holds <g t_k, x> over g; gathered rows are the g t_k
+    dots = np.stack([t.values[layer.group.elements] @ xv for t in layer.templates])
+    if layer.pooling.kind == "softmax":
+        # softmax takes no bias, so each template's row repeats once per bias
+        s = dots if layer.softmax_raw else np.maximum(dots, 0.0)
+        rows = np.repeat(s, len(layer.biases), axis=0)
+    else:
+        b = np.asarray(layer.biases)
+        rows = np.maximum(dots[:, None, :] + b[:, None], 0.0).reshape(-1, dots.shape[1])
+    return np.array([pool(r, layer.pooling) for r in rows])
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,8 @@ class SuiteConfig:
             raise InvalidConfig(f"unknown suite {self.suite!r}")
         if self.fmt not in ("json", "csv"):
             raise InvalidConfig(f"unknown format {self.fmt!r}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfig(f"seed {self.seed} is outside [0, 2**64)")
         if self.suite in _MC_SUITES and self.samples < 2:
             raise InvalidConfig("Monte-Carlo suites need samples >= 2")
         if self.workers < 1:

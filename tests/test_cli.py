@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from invarkit import cli
 from invarkit.cli import main, parse_config
 from invarkit.errors import InvalidConfig, MalformedFile
 from invarkit.suites import (
@@ -82,6 +83,25 @@ class TestParseConfig:
         cfg = parse_config(["run", "--suite", "mex", "--samples", "1"])
         assert cfg.samples == 1
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(InvalidConfig):
+            parse_config(["run", "--suite", "hvq", "--seed", str(seed)])
+
+    def test_largest_u64_seed_accepted(self):
+        assert parse_config(["run", "--seed", str(2**64 - 1)]).seed == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"seed": "abc"}, {"seed": "5"}, {"samples": 1.5}, {"workers": True},
+         {"suite": 3}, {"format": None}, {"output_path": 7}],
+    )
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, doc):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFile):
+            parse_config(["run", "--config", str(p)])
+
 
 class TestReports:
     def test_json_schema(self):
@@ -159,3 +179,34 @@ class TestMain:
 
     def test_invalid_samples_exit_two(self, capsys):
         assert main(["run", "--suite", "kernels", "--samples", "0"]) == 2
+
+    def test_negative_seed_exit_two(self, capsys):
+        assert main(["run", "--suite", "hvq", "--seed", "-1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_integer_config_seed_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"suite": "hvq", "seed": "abc"}))
+        assert main(["run", "--config", str(p)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_two_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def must_not_run(config):
+            raise AssertionError("suite ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_suite", must_not_run)
+        out = tmp_path / "missing" / "report.json"
+        assert main(["run", "--suite", "hvq", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_output_probe_leaves_no_file_behind(self, tmp_path, monkeypatch):
+        def no_report(config):
+            raise RuntimeError("suite failed")
+
+        monkeypatch.setattr(cli, "run_suite", no_report)
+        out = tmp_path / "report.json"
+        with pytest.raises(RuntimeError):
+            main(["run", "--suite", "hvq", "--out", str(out)])
+        assert not out.exists()

@@ -273,6 +273,15 @@ class TestTrain:
         with pytest.raises(DivergenceDetected):
             train(wild, data, cfg)
 
+    def test_non_finite_objective_stops_at_first_step(self):
+        model, data = _sin_setup(n=5)
+        coeffs = model.coeffs.copy()
+        coeffs[2] = np.nan
+        bad = HBFModel(centers=model.centers, coeffs=coeffs, sigma=model.sigma)
+        cfg = TrainConfig(omega=1e-3, max_iters=50, grad_tol=1e-14)
+        with pytest.raises(DivergenceDetected, match="iteration 1"):
+            train(bad, data, cfg)
+
     def test_trace_csv(self, tmp_path):
         model, data = _sin_setup(n=3)
         _, trace = train(model, data, TrainConfig(omega=1e-4, max_iters=10))

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +27,83 @@ from invarkit.kernels import (
     step_kernel_numeric,
 )
 from invarkit.signals import apply, cyclic_group, normalize, orbit
+
+
+def _fresh_draw(sampler, d, S, stream=0):
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=sampler.seed, spawn_key=(stream,))
+    )
+    T = rng.standard_normal((S, d))
+    if sampler.template_law == "uniform_sphere":
+        T /= np.linalg.norm(T, axis=1, keepdims=True)
+    if sampler.bias_law == "gaussian":
+        b = rng.standard_normal(S)
+    else:
+        b = rng.uniform(-sampler.bias_range, sampler.bias_range, S)
+    return T, b
+
+
+_SAMPLERS = (
+    TemplateSampler(seed=0),
+    TemplateSampler(seed=1),
+    TemplateSampler(
+        template_law="uniform_sphere", bias_law="uniform", bias_range=0.5, seed=0
+    ),
+)
+_DRAW_ARGS = [
+    (s, d, S, stream)
+    for s in _SAMPLERS for d in (3, 5) for S in (7, 11) for stream in (0, 1)
+]
+
+
+class TestDraw:
+    def test_read_only(self):
+        T, b = TemplateSampler(seed=4).draw(3, 10)
+        assert not T.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            T[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            b += 1.0
+
+    def test_repeat_calls_equal(self):
+        s = TemplateSampler(seed=4)
+        T1, b1 = s.draw(3, 10, stream=2)
+        T2, b2 = s.draw(3, 10, 2)
+        assert np.array_equal(T1, T2) and np.array_equal(b1, b2)
+
+    def test_interleaved_calls_match_fresh_draws(self):
+        order = np.random.default_rng(0).permutation(2 * len(_DRAW_ARGS))
+        for k in order:
+            sampler, d, S, stream = _DRAW_ARGS[k % len(_DRAW_ARGS)]
+            T, b = sampler.draw(d, S, stream)
+            T0, b0 = _fresh_draw(sampler, d, S, stream)
+            assert np.array_equal(T, T0) and np.array_equal(b, b0)
+
+    def test_two_threads_match_fresh_draws(self):
+        expected = {args: _fresh_draw(*args) for args in _DRAW_ARGS}
+        failures = []
+
+        def worker(seed):
+            order = np.random.default_rng(seed).permutation(10 * len(_DRAW_ARGS))
+            for k in order:
+                args = _DRAW_ARGS[k % len(_DRAW_ARGS)]
+                T, b = args[0].draw(*args[1:])
+                T0, b0 = expected[args]
+                if not (np.array_equal(T, T0) and np.array_equal(b, b0)):
+                    failures.append(args)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
 
 class TestK0:
@@ -148,6 +227,16 @@ class TestStepKernel:
         assert step_kernel_numeric(0.0, 0.0, 1.0, 100_000) == pytest.approx(
             1.0, abs=1e-3
         )
+
+    def test_numeric_is_trapezoid_of_two_ramp_steps(self):
+        alpha = 1e4
+        b = np.linspace(-1.0, 1.0, 100_000)
+
+        def ramp_step(s):
+            return alpha * (np.maximum(s, 0.0) - np.maximum(s - 1.0 / alpha, 0.0))
+
+        expected = float(np.trapezoid(ramp_step(b - 0.2) * ramp_step(b + 0.3), b))
+        assert step_kernel_numeric(0.2, -0.3, 1.0) == expected
 
     def test_numeric_agrees_with_exact(self):
         rng = np.random.default_rng(4)

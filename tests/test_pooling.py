@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from invarkit.errors import DimensionMismatch, EmptyPool, ZeroSignature
 from invarkit.pooling import (
@@ -93,6 +94,50 @@ class TestPool:
             assert a <= b + 1e-12
 
 
+def _mex_reference(values, xi):
+    """mex as evaluated through scipy.special.logsumexp."""
+    v = np.asarray(values, dtype=float)
+    if abs(xi) < 1e-9:
+        return float(np.mean(v))
+    if xi > 1e6:
+        return float(np.max(v))
+    if xi < -1e6:
+        return float(np.min(v))
+    return float((logsumexp(xi * v) - np.log(v.size)) / xi)
+
+
+# Values with ties and rectified zeros, and xi of both signs around the
+# mean (1e-9) and max/min (1e6) dispatch thresholds.
+_POOLED = st.one_of(st.sampled_from([0.0, 0.25, 1.0, -0.5]), st.floats(-50, 50))
+_XI = st.one_of(
+    st.floats(-100, 100),
+    st.floats(5e-10, 2e-8),
+    st.floats(-2e-8, -5e-10),
+    st.floats(1e5, 1.1e6),
+    st.floats(-1.1e6, -1e5),
+    st.sampled_from([1e-9, -1e-9, 1e6, -1e6, np.nextafter(1e6, 0), 1.0]),
+)
+
+
+class TestMexMatchesLogsumexp:
+    @given(st.lists(_POOLED, min_size=1, max_size=70), _XI)
+    @settings(max_examples=500, deadline=None)
+    def test_bit_identical(self, values, xi):
+        assert mex(values, xi) == _mex_reference(values, xi)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0], [1e308, 1e308],
+         [np.inf, -np.inf], [-1e308, 0.0]],
+    )
+    @pytest.mark.parametrize("xi", [1.0, -2.0, 1e5])
+    def test_non_finite_like_logsumexp(self, values, xi):
+        with np.errstate(all="ignore"):
+            expected = _mex_reference(values, xi)
+            actual = mex(values, xi)
+        assert np.array_equal(actual, expected, equal_nan=True)
+
+
 def _single_template_layer(spec, d=2, bias=0.0):
     return HWLayer(
         templates=(normalize([1.0] + [0.0] * (d - 1)),),
@@ -146,6 +191,53 @@ class TestLayerForward:
         layer = _single_template_layer(PoolingSpec("sum"), d=3)
         with pytest.raises(DimensionMismatch):
             layer_forward(normalize([1.0, 0.0]), layer)
+
+    @pytest.mark.parametrize(
+        "spec, raw",
+        [
+            (PoolingSpec("sum"), False),
+            (PoolingSpec("max"), False),
+            (PoolingSpec("mean"), False),
+            (PoolingSpec("softmax", n=3), False),
+            (PoolingSpec("softmax", n=3), True),
+            (PoolingSpec("softmax", n=2), True),
+            (PoolingSpec("mex", xi=2.0), False),
+            (PoolingSpec("mex", xi=-3.0), False),
+        ],
+        ids=lambda p: getattr(p, "kind", "raw" if p else "rect"),
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_pair_loop(self, spec, raw, seed):
+        rng = np.random.default_rng(seed)
+        d = 8 + 4 * seed
+        layer = HWLayer(
+            templates=tuple(normalize(rng.standard_normal(d)) for _ in range(3)),
+            biases=(-0.3, 0.0, 0.1, 0.4),
+            group=cyclic_group(d),
+            pooling=spec,
+            softmax_raw=raw,
+        )
+        for x in (normalize(rng.standard_normal(d)), rng.standard_normal(d)):
+            assert np.array_equal(
+                layer_forward(x, layer), _layer_forward_reference(x, layer)
+            )
+
+
+def _layer_forward_reference(x, layer):
+    """One rectification and one pool call per (template, bias) pair."""
+    xv = np.asarray(x, dtype=float)
+    out = np.empty(layer.output_dim)
+    k = 0
+    for t in layer.templates:
+        dots = t.values[layer.group.elements] @ xv
+        for b in layer.biases:
+            if layer.pooling.kind == "softmax":
+                s = dots if layer.softmax_raw else np.maximum(dots, 0.0)
+            else:
+                s = np.maximum(dots + b, 0.0)
+            out[k] = pool(s, layer.pooling)
+            k += 1
+    return out
 
 
 class TestNetworkForward:

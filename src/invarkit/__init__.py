@@ -21,7 +21,6 @@ from .pooling import (
     mex,
     network_forward,
     pool,
-    simple_response,
 )
 from .kernels import (
     GramReport,

@@ -80,30 +80,13 @@ def _probe_output(path: str) -> None:
 def parse_config(argv) -> SuiteConfig:
     """Merge config file and flags (flags win) into a validated SuiteConfig."""
     args = _build_parser().parse_args(argv)
-    merged = {
-        "suite": "all",
-        "seed": 0,
-        "samples": 100_000,
-        "output_path": None,
-        "format": "json",
-        "workers": 1,
-    }
-    if args.config_file:
-        merged.update(_load_config_file(args.config_file))
-    for key in ("suite", "seed", "samples", "output_path", "workers"):
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = value
-    if args.format is not None:
-        merged["format"] = args.format
-    return SuiteConfig(
-        suite=merged["suite"],
-        seed=merged["seed"],
-        samples=merged["samples"],
-        output_path=merged["output_path"],
-        fmt=merged["format"],
-        workers=merged["workers"],
-    )
+    values = _load_config_file(args.config_file) if args.config_file else {}
+    for key in _CONFIG_TYPES:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    if "format" in values:
+        values["fmt"] = values.pop("format")
+    return SuiteConfig(**values)
 
 
 def main(argv=None) -> int:

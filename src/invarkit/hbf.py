@@ -118,44 +118,49 @@ def _design(model: HBFModel, X: np.ndarray) -> np.ndarray:
 
 def hbf_eval(model: HBFModel, x) -> float:
     """f(x) = sum_a c_a G(||x - t_a||^2)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.d:
-        raise DimensionMismatch(f"input dim {x.size} != model dim {model.d}")
-    return float((_design(model, x[None, :]) @ model.coeffs)[0])
+    return float(hbf_eval_batch(model, np.ravel(x)[None, :])[0])
 
 
 def hbf_eval_batch(model: HBFModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.d:
-        raise DimensionMismatch("input dim differs from model dim")
+        raise DimensionMismatch(f"input dim {X.shape[1]} != model dim {model.d}")
     return _design(model, X) @ model.coeffs
 
 
-def residuals(model: HBFModel, data: TrainingSet) -> np.ndarray:
-    """Delta_i = y_i - f(x_i)."""
-    return data.targets - hbf_eval_batch(model, data.inputs)
+def _forward(model: HBFModel, data: TrainingSet):
+    """Squared distances r2 (N, n), design Phi = G(r2) and residuals Delta (N,).
+
+    Delta_i = y_i - f(x_i) is what the objective, both gradients and the
+    center fixed-point condition are built from.
+    """
+    r2 = cdist(data.inputs, model.centers, "sqeuclidean")
+    Phi = radial_basis(r2, model.sigma)
+    return r2, Phi, data.targets - Phi @ model.coeffs
+
+
+def _center_weights(model: HBFModel, data: TrainingSet) -> np.ndarray:
+    """(N, n) matrix P_i^a = Delta_i G'(||x_i - t_a||^2)."""
+    r2, _, delta = _forward(model, data)
+    return delta[:, None] * radial_basis_deriv(r2, model.sigma)
 
 
 def objective(model: HBFModel, data: TrainingSet) -> float:
     """Sum of squared residuals."""
-    r = residuals(model, data)
-    return float(r @ r)
+    delta = _forward(model, data)[2]
+    return float(delta @ delta)
 
 
 def grad_coeffs(model: HBFModel, data: TrainingSet) -> np.ndarray:
     """dH/dc_a = -2 sum_i Delta_i G(||x_i - t_a||^2)."""
-    Phi = _design(model, data.inputs)
-    delta = data.targets - Phi @ model.coeffs
+    _, Phi, delta = _forward(model, data)
     return -2.0 * (Phi.T @ delta)
 
 
 def grad_centers(model: HBFModel, data: TrainingSet) -> np.ndarray:
     """dH/dt_a = 4 c_a sum_i Delta_i G'(||x_i - t_a||^2) (x_i - t_a)."""
-    r2 = cdist(data.inputs, model.centers, "sqeuclidean")
-    Gp = radial_basis_deriv(r2, model.sigma)  # (N, n)
-    delta = data.targets - radial_basis(r2, model.sigma) @ model.coeffs
     diff = data.inputs[:, None, :] - model.centers[None, :, :]  # (N, n, d)
-    weighted = (delta[:, None] * Gp)[:, :, None] * diff
+    weighted = _center_weights(model, data)[:, :, None] * diff
     return 4.0 * model.coeffs[:, None] * weighted.sum(axis=0)
 
 
@@ -275,7 +280,8 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
     h0 = objective(cur, data)
     converged = False
     for it in range(1, config.max_iters + 1):
-        gc = grad_coeffs(cur, data)
+        _, Phi, delta = _forward(cur, data)
+        gc = -2.0 * (Phi.T @ delta)
         gt = grad_centers(cur, data)
         parts = []
         if config.update_coeffs:
@@ -283,7 +289,7 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
         if config.update_centers:
             parts.append(np.max(np.abs(gt)))
         gnorm = float(max(parts)) if parts else 0.0
-        h = objective(cur, data)
+        h = float(delta @ delta)
 
         its.append(it)
         objs.append(h)
@@ -339,10 +345,7 @@ def center_fixed_point_residual(
     P_i^a = Delta_i G'(||x_i - t_a||^2). Centers whose denominator is below
     denom_tol in magnitude are skipped and reported.
     """
-    r2 = cdist(data.inputs, model.centers, "sqeuclidean")
-    Gp = radial_basis_deriv(r2, model.sigma)
-    delta = data.targets - radial_basis(r2, model.sigma) @ model.coeffs
-    P = delta[:, None] * Gp  # (N, n)
+    P = _center_weights(model, data)
     denom = P.sum(axis=0)
     skipped = []
     worst = 0.0

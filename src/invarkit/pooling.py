@@ -122,14 +122,6 @@ def pool(values, spec: PoolingSpec) -> float:
     return mex(v, spec.xi)
 
 
-def simple_response(x: Signal, t: Signal, g, b: float) -> float:
-    """Rectified template match: max(<x, g t> + b, 0)."""
-    gt = apply(np.asarray(g, dtype=np.intp), t)
-    if x.dim != gt.dim:
-        raise DimensionMismatch("input and template dims differ")
-    return float(max(np.dot(x.values, gt.values) + b, 0.0))
-
-
 @dataclass(frozen=True)
 class HWLayer:
     """Templates + biases + group + pooling: one convolution-and-pool layer.

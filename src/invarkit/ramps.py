@@ -15,9 +15,11 @@ import numpy as np
 from .errors import SingularDesign
 
 
-def abs_identity(s: float) -> float:
+def abs_identity(s):
     """|s| written as the two-ramp combination |s|_+ + |-s|_+."""
-    return float(np.maximum(s, 0.0) + np.maximum(-s, 0.0))
+    s = np.asarray(s, dtype=float)
+    out = np.maximum(s, 0.0) + np.maximum(-s, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def step_approx(s, alpha: float):

@@ -167,7 +167,7 @@ def two_part_family(part_length: int) -> PatternFamily:
     )
 
 
-def memory_sweep(part_lengths, seed: int = 0):
+def memory_sweep(part_lengths):
     """Cost rows (family_id, N, vq_cost, hvq_cost, ratio) over the reference family."""
     rows = []
     for fid, half in enumerate(part_lengths):

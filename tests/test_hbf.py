@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from invarkit.errors import DimensionMismatch, DivergenceDetected, InvalidN
 from invarkit.hbf import (
@@ -326,6 +329,116 @@ class TestCenterFixedPoint:
         report = center_fixed_point_residual(m, data)
         assert report.residual == 0.0
         assert report.skipped == (0, 1)
+
+
+# Reference forms: each quantity computed from its own forward pass, as
+# before the objective, the gradients and the fixed-point check shared one.
+def _ref_objective(model, data):
+    Phi = radial_basis(cdist(data.inputs, model.centers, "sqeuclidean"), model.sigma)
+    r = data.targets - Phi @ model.coeffs
+    return float(r @ r)
+
+
+def _ref_grad_coeffs(model, data):
+    Phi = radial_basis(cdist(data.inputs, model.centers, "sqeuclidean"), model.sigma)
+    delta = data.targets - Phi @ model.coeffs
+    return -2.0 * (Phi.T @ delta)
+
+
+def _ref_weights(model, data):
+    r2 = cdist(data.inputs, model.centers, "sqeuclidean")
+    Gp = radial_basis_deriv(r2, model.sigma)
+    delta = data.targets - radial_basis(r2, model.sigma) @ model.coeffs
+    return delta[:, None] * Gp
+
+
+def _ref_grad_centers(model, data):
+    diff = data.inputs[:, None, :] - model.centers[None, :, :]
+    weighted = _ref_weights(model, data)[:, :, None] * diff
+    return 4.0 * model.coeffs[:, None] * weighted.sum(axis=0)
+
+
+def _ref_fixed_point(model, data, denom_tol=1e-12):
+    P = _ref_weights(model, data)
+    denom = P.sum(axis=0)
+    skipped, worst = [], 0.0
+    for a in range(model.n):
+        if abs(denom[a]) <= denom_tol:
+            skipped.append(a)
+            continue
+        t_hat = (P[:, a] @ data.inputs) / denom[a]
+        worst = max(worst, float(np.max(np.abs(model.centers[a] - t_hat))))
+    return worst, tuple(skipped)
+
+
+def _ref_train(model, data, config):
+    rng = np.random.default_rng(config.seed)
+    c, t = model.coeffs.copy(), model.centers.copy()
+    cur = replace(model, centers=t, coeffs=c)
+    objs, gnorms, converged = [], [], False
+    for it in range(1, config.max_iters + 1):
+        gc = _ref_grad_coeffs(cur, data)
+        gt = _ref_grad_centers(cur, data)
+        parts = []
+        if config.update_coeffs:
+            parts.append(np.max(np.abs(gc)))
+        if config.update_centers:
+            parts.append(np.max(np.abs(gt)))
+        gnorm = float(max(parts)) if parts else 0.0
+        objs.append(_ref_objective(cur, data))
+        gnorms.append(gnorm)
+        if gnorm < config.grad_tol:
+            converged = True
+            break
+        amp = config.noise_amplitude / it
+        if config.update_coeffs:
+            c = c - config.omega * gc
+            if amp > 0:
+                c = c + amp * rng.standard_normal(c.shape)
+        if config.update_centers:
+            t = t - config.omega * gt
+            if amp > 0:
+                t = t + amp * rng.standard_normal(t.shape)
+        cur = replace(cur, centers=t, coeffs=c)
+        if config.resolve_every > 0 and it % config.resolve_every == 0:
+            c = solve_coeffs(cur, data).coeffs
+            cur = replace(cur, coeffs=c)
+    return cur, np.asarray(objs), np.asarray(gnorms), converged
+
+
+class TestSharedForward:
+    """The shared forward pass changes no bit of any output."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_reference_forms(self, seed):
+        model, data = _random_instance(seed)
+        assert objective(model, data) == _ref_objective(model, data)
+        assert np.array_equal(grad_coeffs(model, data), _ref_grad_coeffs(model, data))
+        assert np.array_equal(grad_centers(model, data), _ref_grad_centers(model, data))
+        report = center_fixed_point_residual(model, data)
+        assert (report.residual, report.skipped) == _ref_fixed_point(model, data)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"noise_amplitude": 0.01},
+            {"update_centers": False},
+            {"update_coeffs": False},
+            {"resolve_every": 5},
+        ],
+        ids=["moving", "fixed_centers", "centers_only", "resolve_every"],
+    )
+    def test_train_matches_reference_loop(self, overrides):
+        model, data = _sin_setup(n=5)
+        cfg = TrainConfig(omega=1e-3, max_iters=200, grad_tol=1e-14, seed=11, **overrides)
+        got, trace = train(model, data, cfg)
+        ref, objs, gnorms, converged = _ref_train(model, data, cfg)
+        assert np.array_equal(trace.iterations, np.arange(1, objs.size + 1))
+        assert np.array_equal(trace.objectives, objs)
+        assert np.array_equal(trace.grad_inf_norms, gnorms)
+        assert trace.converged == converged
+        assert np.array_equal(got.centers, ref.centers)
+        assert np.array_equal(got.coeffs, ref.coeffs)
 
 
 class TestCapacity:

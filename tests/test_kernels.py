@@ -26,7 +26,7 @@ from invarkit.kernels import (
     step_kernel_exact,
     step_kernel_numeric,
 )
-from invarkit.signals import apply, cyclic_group, normalize, orbit
+from invarkit.signals import FiniteGroup, apply, cyclic_group, normalize, orbit
 
 
 def _fresh_draw(sampler, d, S, stream=0):
@@ -152,15 +152,17 @@ class TestK0:
 
 class TestKtilde:
     def test_trivial_group_equals_k0(self):
-        x = normalize([0.6, 0.8])
-        y = normalize([0.0, 1.0])
+        # the identity-only group is the non-convolutional layer: the
+        # group-averaged estimate is k0 on the same sample stream
         s = TemplateSampler(seed=3)
-        G1 = cyclic_group(1)
-        x1 = normalize([1.0])
-        # d=1 comparison: both reduce to the same sample stream
-        assert (
-            ktilde_mc(x1, x1, G1, s, 500).value == k0_mc(x1, x1, s, 500).value
-        )
+        for d in (1, 2, 3, 8):
+            rng = np.random.default_rng(d)
+            x = normalize(rng.standard_normal(d))
+            y = normalize(rng.standard_normal(d))
+            G1 = FiniteGroup(np.arange(d)[None])
+            for a, b in ((x, x), (x, y)):
+                kt, k0 = ktilde_mc(a, b, G1, s, 500), k0_mc(a, b, s, 500)
+                assert (kt.value, kt.stderr) == (k0.value, k0.stderr), d
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_invariance_under_group(self, d):

@@ -16,32 +16,8 @@ from invarkit.pooling import (
     mex,
     network_forward,
     pool,
-    simple_response,
 )
-from invarkit.signals import apply, cyclic_group, normalize
-
-
-class TestSimpleResponse:
-    def test_aligned(self):
-        G = cyclic_group(2)
-        assert simple_response(
-            normalize([1.0, 0.0]), normalize([1.0, 0.0]), G.elements[0], 0.0
-        ) == pytest.approx(1.0)
-
-    def test_rectified_negative(self):
-        G = cyclic_group(2)
-        assert (
-            simple_response(
-                normalize([0.0, 1.0]), normalize([1.0, 0.0]), G.elements[0], -0.5
-            )
-            == 0.0
-        )
-
-    def test_with_bias(self):
-        G = cyclic_group(2)
-        assert simple_response(
-            normalize([0.6, 0.8]), normalize([1.0, 0.0]), G.elements[0], 0.1
-        ) == pytest.approx(0.7)
+from invarkit.signals import FiniteGroup, apply, cyclic_group, normalize
 
 
 class TestPool:
@@ -147,7 +123,31 @@ def _single_template_layer(spec, d=2, bias=0.0):
     )
 
 
+def _identity_layer(t, b):
+    """One template, one bias, identity-only group: the non-pooling layer."""
+    return HWLayer(
+        templates=(t,),
+        biases=(b,),
+        group=FiniteGroup(np.arange(t.dim)[None]),
+        pooling=PoolingSpec("sum"),
+    )
+
+
 class TestLayerForward:
+    # With the identity as its only group element, a layer returns the
+    # rectified template match max(<x, t> + b, 0).
+    def test_aligned(self):
+        layer = _identity_layer(normalize([1.0, 0.0]), 0.0)
+        assert layer_forward(normalize([1.0, 0.0]), layer)[0] == pytest.approx(1.0)
+
+    def test_rectified_negative(self):
+        layer = _identity_layer(normalize([1.0, 0.0]), -0.5)
+        assert layer_forward(normalize([0.0, 1.0]), layer)[0] == 0.0
+
+    def test_with_bias(self):
+        layer = _identity_layer(normalize([1.0, 0.0]), 0.1)
+        assert layer_forward(normalize([0.6, 0.8]), layer)[0] == pytest.approx(0.7)
+
     def test_sum(self):
         layer = _single_template_layer(PoolingSpec("sum"))
         np.testing.assert_allclose(

@@ -56,6 +56,7 @@ from .hbf import (
     init_centers,
     objective,
     radial_basis,
+    refine_centers,
     solve_coeffs,
     train,
 )

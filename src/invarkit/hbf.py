@@ -3,7 +3,8 @@
 The model is f(x) = sum_a c_a G(||x - t_a||^2) with a Gaussian radial
 profile. Both the coefficients and the center positions are trainable:
 coefficients by a regularized pseudo-inverse solve, centers by gradient
-descent on the squared-error objective (optionally with decaying noise).
+descent on the squared-error objective (optionally with decaying noise),
+and the centers alone can be refined to a stationary point by BFGS.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ def solve_coeffs(model: HBFModel, data: TrainingSet) -> SolveResult:
     system is solved in its equivalent stacked least-squares form
     [Phi; sqrt(lam) L^T] c ~ [y; 0] with g + jitter = L L^T, which avoids
     squaring the condition number of Phi; a jitter floor on the diagonal
-    keeps near-singular Gaussian systems solvable.
+    keeps near-singular Gaussian systems solvable. lam is floored at the
+    jitter, not added to it, so any lam up to the jitter solves alike.
     """
     Phi = _design(model, data.inputs)
     g = radial_basis(
@@ -187,7 +189,7 @@ def solve_coeffs(model: HBFModel, data: TrainingSet) -> SolveResult:
     g[np.diag_indices_from(g)] += _JITTER_FLOOR
     try:
         L = np.linalg.cholesky(g)
-        A = np.vstack([Phi, np.sqrt(model.lam + _JITTER_FLOOR) * L.T])
+        A = np.vstack([Phi, np.sqrt(max(model.lam, _JITTER_FLOOR)) * L.T])
         rhs = np.concatenate([data.targets, np.zeros(model.n)])
         c, _, _, _ = np.linalg.lstsq(A, rhs, rcond=None)
     except np.linalg.LinAlgError as exc:
@@ -319,6 +321,91 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
         if config.resolve_every > 0 and it % config.resolve_every == 0:
             c = solve_coeffs(cur, data).coeffs
             cur = replace(cur, coeffs=c)
+
+    trace = TrainTrace(
+        iterations=np.asarray(its),
+        objectives=np.asarray(objs),
+        grad_inf_norms=np.asarray(gnorms),
+        converged=converged,
+    )
+    return cur, trace
+
+
+# refine_centers: iteration cap, Armijo constant, smallest backtracked step,
+# and the relative change in H below which H is taken as flat (within rounding).
+_REFINE_MAX_ITERS = 500
+_ARMIJO_C1 = 1e-4
+_MIN_STEP = 1e-12
+_FLAT_REL = 1e-13
+
+
+def refine_centers(model: HBFModel, data: TrainingSet, grad_tol: float):
+    """Move the centers alone to a stationary point of H by BFGS.
+
+    Coefficients, sigma and lam are left as they are. Each evaluation takes
+    H from `objective` and dH/dt from `grad_centers`; the inverse Hessian
+    of the flattened centers gets the BFGS update (Nocedal & Wright eq. 6.17),
+    starting from the identity scaled by s^T y / y^T y after the first step
+    (eq. 6.20), and skipped when s^T y <= 0. A backtracked step is taken if
+    it meets the Armijo condition or, once H is flat to rounding, if it
+    lowers sup|dH/dt|. Stops with converged=True when sup|dH/dt| < grad_tol;
+    a backtrack below the smallest step, a step that leaves the centers
+    unchanged, or the iteration cap stops it with converged=False, keeping
+    the last accepted centers. Returns
+    (model, TrainTrace) as `train` does. Raises DivergenceDetected when the
+    starting objective is not finite.
+    """
+    if not grad_tol > 0:
+        raise ValueError("grad_tol must be positive")
+    shape = model.centers.shape
+
+    def evaluate(x):
+        cur = replace(model, centers=x.reshape(shape))
+        return cur, objective(cur, data), grad_centers(cur, data).ravel()
+
+    cur, h, g = evaluate(model.centers.ravel())
+    if not math.isfinite(h):
+        raise DivergenceDetected(f"objective {h} at the starting centers")
+    x = cur.centers.ravel()
+    inv_hess = None  # identity until the first curvature pair
+    its, objs, gnorms = [], [], []
+    converged = False
+    for it in range(1, _REFINE_MAX_ITERS + 1):
+        gnorm = float(np.max(np.abs(g)))
+        its.append(it)
+        objs.append(h)
+        gnorms.append(gnorm)
+        if gnorm < grad_tol:
+            converged = True
+            break
+
+        p = -g if inv_hess is None else -(inv_hess @ g)
+        slope = float(g @ p)
+        if slope >= 0:  # not a descent direction: fall back to steepest descent
+            p, slope = -g, -float(g @ g)
+        step = 1.0
+        while step >= _MIN_STEP:
+            nxt, h2, g2 = evaluate(x + step * p)
+            if h2 <= h + _ARMIJO_C1 * step * slope or (
+                abs(h2 - h) <= _FLAT_REL * abs(h) and np.max(np.abs(g2)) < gnorm
+            ):
+                break
+            step *= 0.5
+        else:
+            break  # no acceptable step down to the smallest one
+
+        x2 = nxt.centers.ravel()
+        s, y = x2 - x, g2 - g
+        if not np.any(s):  # the step is below rounding of the centers
+            break
+        sy = float(s @ y)
+        if sy > 0:
+            if inv_hess is None:
+                inv_hess = (sy / float(y @ y)) * np.eye(s.size)
+            rho = 1.0 / sy
+            v = np.eye(s.size) - rho * np.outer(s, y)
+            inv_hess = v @ inv_hess @ v.T + rho * np.outer(s, s)
+        cur, x, h, g = nxt, x2, h2, g2
 
     trace = TrainTrace(
         iterations=np.asarray(its),

@@ -1,4 +1,10 @@
+import functools
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +28,11 @@ from invarkit.hbf import (
     objective,
     radial_basis,
     radial_basis_deriv,
+    refine_centers,
     solve_coeffs,
     train,
 )
+from invarkit import hbf
 from invarkit.suites import _gradient_fd_error
 
 
@@ -153,6 +161,32 @@ class TestSolveCoeffs:
             lam=1e-12,
         )
         assert solve_coeffs(m, data).max_residual <= 1e-6
+
+    @pytest.mark.parametrize("seed", [10, 25])
+    def test_interpolation_check_instance(self, seed):
+        # the hbf.interpolation check's instance at suite seeds that failed
+        # while the ridge added the jitter floor on top of lam
+        r = np.random.default_rng(seed + 1)
+        X = r.standard_normal((20, 2))
+        data = TrainingSet(X, r.standard_normal(20))
+        m = HBFModel(
+            centers=X.copy(),
+            coeffs=np.zeros(20),
+            sigma=0.5 * median_pairwise_distance(X),
+            lam=1e-12,
+        )
+        assert solve_coeffs(m, data).max_residual <= 1e-6
+
+    def test_ridge_below_jitter_floor_is_the_floor(self):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((12, 2))
+        data = TrainingSet(X, rng.standard_normal(12))
+        coeffs = [
+            solve_coeffs(HBFModel(X.copy(), np.zeros(12), sigma=0.7, lam=lam), data).coeffs
+            for lam in (0.0, 1e-13, 1e-12)
+        ]
+        assert np.array_equal(coeffs[0], coeffs[1])
+        assert np.array_equal(coeffs[0], coeffs[2])
 
     def test_large_lambda_shrinks_coefficients(self):
         rng = np.random.default_rng(4)
@@ -329,6 +363,104 @@ class TestCenterFixedPoint:
         report = center_fixed_point_residual(m, data)
         assert report.residual == 0.0
         assert report.skipped == (0, 1)
+
+
+@functools.cache
+def _joint_optimum(seed):
+    """The sin task after the 5000-step joint (coefficients and centers) train."""
+    model, data = _sin_setup(seed=seed)
+    cfg = TrainConfig(omega=1e-3, max_iters=5000, grad_tol=1e-12, seed=seed)
+    return train(model, data, cfg)[0], data
+
+
+class TestRefineCenters:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reaches_stationary_centers(self, seed):
+        joint, data = _joint_optimum(seed)
+        refined, trace = refine_centers(joint, data, grad_tol=1e-10)
+        assert trace.converged
+        assert trace.grad_inf_norms[-1] < 1e-10
+        assert np.max(np.abs(grad_centers(refined, data))) < 1e-10
+        assert center_fixed_point_residual(refined, data).residual <= 1e-6
+        assert trace.objectives[0] == objective(joint, data)
+        # every accepted step lowers H, or keeps it within rounding
+        h = trace.objectives
+        assert np.all(h[1:] <= h[:-1] + 1e-13 * h[:-1])
+        assert objective(refined, data) <= objective(joint, data)
+
+    def test_holds_coefficients_sigma_and_lambda(self):
+        joint, data = _joint_optimum(7)
+        start = replace(joint, lam=1e-3)
+        refined, _ = refine_centers(start, data, grad_tol=1e-10)
+        assert np.array_equal(refined.coeffs, start.coeffs)
+        assert (refined.sigma, refined.lam) == (start.sigma, start.lam)
+        assert not np.array_equal(refined.centers, start.centers)
+
+    def test_repeatable_across_calls_and_threads(self):
+        joint, data = _joint_optimum(7)
+        first = refine_centers(joint, data, grad_tol=1e-10)[0].centers
+        second = refine_centers(joint, data, grad_tol=1e-10)[0].centers
+        assert np.array_equal(first, second)
+
+        results = [None, None]
+
+        def run(i):
+            results[i] = refine_centers(joint, data, grad_tol=1e-10)[0].centers
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert np.array_equal(results[0], first)
+        assert np.array_equal(results[1], first)
+
+    def test_stationary_start_returns_after_one_iteration(self):
+        joint, data = _joint_optimum(7)
+        stationary, _ = refine_centers(joint, data, grad_tol=1e-10)
+        again, trace = refine_centers(stationary, data, grad_tol=1e-10)
+        assert trace.converged and len(trace.iterations) == 1
+        assert np.array_equal(again.centers, stationary.centers)
+
+    def test_unreachable_tolerance_stops_unconverged(self):
+        joint, data = _joint_optimum(7)
+        refined, trace = refine_centers(joint, data, grad_tol=1e-16)
+        assert not trace.converged
+        assert len(trace.iterations) <= hbf._REFINE_MAX_ITERS
+        assert objective(refined, data) <= objective(joint, data)
+
+    def test_rejects_nonpositive_tolerance(self):
+        joint, data = _joint_optimum(7)
+        with pytest.raises(ValueError):
+            refine_centers(joint, data, grad_tol=0.0)
+
+    def test_non_finite_start_raises(self):
+        model, data = _sin_setup(n=5)
+        coeffs = model.coeffs.copy()
+        coeffs[2] = np.nan
+        bad = HBFModel(centers=model.centers, coeffs=coeffs, sigma=model.sigma)
+        with pytest.raises(DivergenceDetected):
+            refine_centers(bad, data, grad_tol=1e-10)
+
+
+def test_sin_task_leaves_scipy_optimize_unimported():
+    # scipy.optimize costs ~11 MB of resident memory in a process that has
+    # already imported invarkit; the refine arm runs without it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, invarkit\n"
+        "from invarkit import suites\n"
+        "suites.sin_task_benchmark()\n"
+        "sys.exit(3 if 'scipy.optimize' in sys.modules else 0)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
 
 
 # Reference forms: each quantity computed from its own forward pass, as

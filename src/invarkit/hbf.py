@@ -351,9 +351,8 @@ def refine_centers(model: HBFModel, data: TrainingSet, grad_tol: float):
     lowers sup|dH/dt|. Stops with converged=True when sup|dH/dt| < grad_tol;
     a backtrack below the smallest step, a step that leaves the centers
     unchanged, or the iteration cap stops it with converged=False, keeping
-    the last accepted centers. Returns
-    (model, TrainTrace) as `train` does. Raises DivergenceDetected when the
-    starting objective is not finite.
+    the last accepted centers. Returns (model, TrainTrace) as `train` does.
+    Raises DivergenceDetected when the starting objective is not finite.
     """
     if not grad_tol > 0:
         raise ValueError("grad_tol must be positive")
@@ -385,7 +384,8 @@ def refine_centers(model: HBFModel, data: TrainingSet, grad_tol: float):
             p, slope = -g, -float(g @ g)
         step = 1.0
         while step >= _MIN_STEP:
-            nxt, h2, g2 = evaluate(x + step * p)
+            x2 = x + step * p
+            nxt, h2, g2 = evaluate(x2)
             if h2 <= h + _ARMIJO_C1 * step * slope or (
                 abs(h2 - h) <= _FLAT_REL * abs(h) and np.max(np.abs(g2)) < gnorm
             ):
@@ -394,7 +394,6 @@ def refine_centers(model: HBFModel, data: TrainingSet, grad_tol: float):
         else:
             break  # no acceptable step down to the smallest one
 
-        x2 = nxt.centers.ravel()
         s, y = x2 - x, g2 - g
         if not np.any(s):  # the step is below rounding of the centers
             break

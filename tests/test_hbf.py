@@ -427,7 +427,8 @@ class TestRefineCenters:
         joint, data = _joint_optimum(7)
         refined, trace = refine_centers(joint, data, grad_tol=1e-16)
         assert not trace.converged
-        assert len(trace.iterations) <= hbf._REFINE_MAX_ITERS
+        # it stops by itself once no step changes the centers, not at the cap
+        assert len(trace.iterations) < hbf._REFINE_MAX_ITERS
         assert objective(refined, data) <= objective(joint, data)
 
     def test_rejects_nonpositive_tolerance(self):

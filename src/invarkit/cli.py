@@ -111,7 +111,7 @@ def main(argv=None) -> int:
         f"suite={report.suite} seed={report.seed} checks={len(report.checks)} "
         f"failed={n_fail} skipped={n_skip} wall_time={report.wall_time:.2f}s"
     )
-    return 0 if n_fail == 0 else 1
+    return 0 if report.all_passed else 1
 
 
 if __name__ == "__main__":

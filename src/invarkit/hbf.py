@@ -183,9 +183,7 @@ def solve_coeffs(model: HBFModel, data: TrainingSet) -> SolveResult:
     jitter, not added to it, so any lam up to the jitter solves alike.
     """
     Phi = _design(model, data.inputs)
-    g = radial_basis(
-        cdist(model.centers, model.centers, "sqeuclidean"), model.sigma
-    )
+    g = _design(model, model.centers)
     g[np.diag_indices_from(g)] += _JITTER_FLOOR
     try:
         L = np.linalg.cholesky(g)

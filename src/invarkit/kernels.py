@@ -149,13 +149,26 @@ def arccos1_kernel(u: np.ndarray, v: np.ndarray) -> float:
     return float(nu * nv * (np.sin(th) + (np.pi - th) * np.cos(th)) / (2 * np.pi))
 
 
-def step_kernel_exact(xs: float, xs2: float, p: float) -> float:
-    """Integral over [-p, p] of step(b - xs) * step(b - xs2) db = p - max(xs, xs2)."""
-    if not p > 0:
-        raise OutOfRange("p must be positive")
-    if abs(xs) > p or abs(xs2) > p:
+def _check_projections(xs, xs2, p: float):
+    """Projections as float arrays, once p > 0 is finite and both lie in [-p, p]."""
+    if not 0 < p < np.inf:
+        raise OutOfRange("p must be positive and finite")
+    xs = np.asarray(xs, dtype=float)
+    xs2 = np.asarray(xs2, dtype=float)
+    # written as "all inside" so that a NaN projection fails too
+    if not (np.all(np.abs(xs) <= p) and np.all(np.abs(xs2) <= p)):
         raise OutOfRange("projections must lie in [-p, p]")
-    return p - max(xs, xs2)
+    return xs, xs2
+
+
+def step_kernel_exact(xs, xs2, p: float):
+    """Integral over [-p, p] of step(b - xs) * step(b - xs2) db = p - max(xs, xs2).
+
+    Broadcasts over array projections; scalar inputs give a float.
+    """
+    xs, xs2 = _check_projections(xs, xs2, p)
+    out = p - np.maximum(xs, xs2)
+    return float(out) if out.ndim == 0 else out
 
 
 def step_kernel_numeric(
@@ -173,10 +186,7 @@ def step_kernel_numeric(
     """
     if grid_points < 1000:
         raise ValueError("grid_points must be >= 1000")
-    if not p > 0:
-        raise OutOfRange("p must be positive")
-    if abs(xs) > p or abs(xs2) > p:
-        raise OutOfRange("projections must lie in [-p, p]")
+    _check_projections(xs, xs2, p)
 
     b = np.linspace(-p, p, grid_points)
     integrand = step_approx(b - xs, alpha) * step_approx(b - xs2, alpha)
@@ -222,23 +232,27 @@ class GramReport:
     psd_pass: bool
 
 
+def _kernel_matrix(points, kernel) -> np.ndarray:
+    """m x m matrix of kernel(points[i], points[j]), one call per entry."""
+    m = len(points)
+    K = np.array([[kernel(a, b) for b in points] for a in points], dtype=float)
+    return K.reshape(m, m)
+
+
 def gram(points, kernel) -> GramReport:
     """Build the full kernel matrix and test positive semidefiniteness.
 
     psd_pass allows eigenvalues down to -1e-8 relative to the largest one
     (floating-point slack).
     """
-    m = len(points)
-    if m < 2:
+    if len(points) < 2:
         raise ValueError("need at least 2 points")
-    K = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            kij = kernel(points[i], points[j])
-            kji = kernel(points[j], points[i]) if j > i else kij
-            if abs(kij - kji) > 1e-9:
-                raise KernelAsymmetric(f"K({i},{j}) != K({j},{i})")
-            K[i, j] = K[j, i] = 0.5 * (kij + kji)
+    K = _kernel_matrix(points, kernel)
+    asym = np.argwhere(np.triu(np.abs(K - K.T) > 1e-9))
+    if asym.size:
+        i, j = asym[0]
+        raise KernelAsymmetric(f"K({i},{j}) != K({j},{i})")
+    K = 0.5 * (K + K.T)
     eig = np.linalg.eigvalsh(K)
     lo, hi = float(eig[0]), float(eig[-1])
     return GramReport(
@@ -350,23 +364,15 @@ def selectivity_scan(orbits, kernel) -> SelectivityReport:
     The caller guarantees an invariant (group-averaged) kernel; values are
     normalized as K(x,y) / sqrt(K(x,x) K(y,y)).
     """
-
-    def khat(a, b):
-        return kernel(a, b) / np.sqrt(kernel(a, a) * kernel(b, b))
-
-    same_min = np.inf
-    distinct_max = -np.inf
-    for oi, orb_i in enumerate(orbits):
-        for oj, orb_j in enumerate(orbits):
-            if oj < oi:
-                continue
-            for a in orb_i.members:
-                for b in orb_j.members:
-                    v = khat(a, b)
-                    if oi == oj:
-                        same_min = min(same_min, v)
-                    else:
-                        distinct_max = max(distinct_max, v)
+    members = [m for orb in orbits for m in orb.members]
+    label = np.repeat(np.arange(len(orbits)), [len(orb.members) for orb in orbits])
+    K = _kernel_matrix(members, kernel)
+    diag = np.diag(K)
+    khat = K / np.sqrt(diag[:, None] * diag[None, :])
+    # distinct-orbit pairs (a in orbit i, b in orbit j) are read for i < j only
+    same = label[:, None] == label[None, :]
+    distinct = label[:, None] < label[None, :]
     return SelectivityReport(
-        same_orbit_min=float(same_min), distinct_orbit_max=float(distinct_max)
+        same_orbit_min=float(np.min(khat[same], initial=np.inf)),
+        distinct_orbit_max=float(np.max(khat[distinct], initial=-np.inf)),
     )

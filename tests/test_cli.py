@@ -180,6 +180,14 @@ class TestMain:
     def test_invalid_samples_exit_two(self, capsys):
         assert main(["run", "--suite", "kernels", "--samples", "0"]) == 2
 
+    def test_two_samples_report_without_traceback(self, capsys):
+        # at 2 samples every rectified product of an arccos pair can be 0,
+        # which leaves a zero standard error
+        assert main(["run", "--suite", "kernels", "--samples", "2"]) in (0, 1)
+        captured = capsys.readouterr()
+        assert "kernels.arccos_oracle" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_negative_seed_exit_two(self, capsys):
         assert main(["run", "--suite", "hvq", "--seed", "-1"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -26,7 +26,15 @@ from invarkit.kernels import (
     step_kernel_exact,
     step_kernel_numeric,
 )
-from invarkit.signals import FiniteGroup, apply, cyclic_group, normalize, orbit
+from invarkit.signals import (
+    FiniteGroup,
+    Orbit,
+    apply,
+    cyclic_group,
+    normalize,
+    orbit,
+)
+from invarkit.suites import SuiteConfig, run_suite
 
 
 def _fresh_draw(sampler, d, S, stream=0):
@@ -388,3 +396,226 @@ class TestSelectivity:
         rep = selectivity_scan(orbs, kernel)
         assert rep.same_orbit_min <= 1 + 1e-9
         assert rep.distinct_orbit_max <= 1 + 1e-9
+
+
+# Pairwise reference versions of ``gram`` and ``selectivity_scan`` and the
+# kernels suite's scalar step loops, kept to pin the array forms to them
+# bit for bit.
+
+
+def _gram_reference(points, kernel):
+    m = len(points)
+    K = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            kij = kernel(points[i], points[j])
+            kji = kernel(points[j], points[i]) if j > i else kij
+            if abs(kij - kji) > 1e-9:
+                raise KernelAsymmetric(f"K({i},{j}) != K({j},{i})")
+            K[i, j] = K[j, i] = 0.5 * (kij + kji)
+    eig = np.linalg.eigvalsh(K)
+    lo, hi = float(eig[0]), float(eig[-1])
+    return K, lo, hi, lo >= -1e-8 * max(abs(hi), 1.0)
+
+
+def _selectivity_reference(orbits, kernel):
+    def khat(a, b):
+        return kernel(a, b) / np.sqrt(kernel(a, a) * kernel(b, b))
+
+    same_min = np.inf
+    distinct_max = -np.inf
+    for oi, orb_i in enumerate(orbits):
+        for oj, orb_j in enumerate(orbits):
+            if oj < oi:
+                continue
+            for a in orb_i.members:
+                for b in orb_j.members:
+                    v = khat(a, b)
+                    if oi == oj:
+                        same_min = min(same_min, v)
+                    else:
+                        distinct_max = max(distinct_max, v)
+    return float(same_min), float(distinct_max)
+
+
+def _step_identity_reference(rng):
+    worst = 0.0
+    for _ in range(10_000):
+        a, b = rng.uniform(-1, 1, 2)
+        lhs = 1.0 - max(a, b)
+        rhs = 1.0 - 0.5 * (a + b + abs(a - b))
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def _step_oracle_reference(rng):
+    worst = 0.0
+    for _ in range(100):
+        a, b = rng.uniform(-1, 1, 2)
+        worst = max(
+            worst, abs(1.0 - max(a, b) - step_kernel_numeric(a, b, 1.0, 100_000))
+        )
+    return worst
+
+
+def _table_kernel(M):
+    """Kernel on integer points that reads a fixed matrix."""
+
+    def kernel(i, j):
+        return float(M[i, j])
+
+    return kernel
+
+
+def _suite_step_setup():
+    """The kernels suite's selectivity setup: two d=4 orbits, step k-tilde."""
+    G = cyclic_group(4)
+    onehot = normalize([1.0, 0.0, 0.0, 0.0])
+    ones = normalize(np.ones(4))
+
+    def kernel(a, b):
+        return ktilde_step(a, b, [onehot, ones], [0.5, 0.5], G, 1.0)
+
+    return [orbit(G, onehot), orbit(G, ones)], kernel
+
+
+def _random_symmetric(rng, m, psd):
+    A = rng.standard_normal((m, m))
+    M = A @ A.T if psd else 0.5 * (A + A.T)
+    # asymmetry below the 1e-9 rejection threshold, so symmetrizing matters
+    return M + 1e-12 * rng.standard_normal((m, m))
+
+
+class TestGramMatchesPairwiseReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("psd", [True, False])
+    def test_random_symmetric_kernels(self, seed, psd):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 9))
+        kernel = _table_kernel(_random_symmetric(rng, m, psd))
+        K, lo, hi, ok = _gram_reference(list(range(m)), kernel)
+        rep = gram(list(range(m)), kernel)
+        assert np.array_equal(rep.matrix, K)
+        assert (rep.min_eigenvalue, rep.max_eigenvalue, rep.psd_pass) == (lo, hi, ok)
+
+    def test_suite_step_ktilde_setup(self):
+        orbits, kernel = _suite_step_setup()
+        pts = [m for orb in orbits for m in orb.members]
+        K, lo, hi, ok = _gram_reference(pts, kernel)
+        rep = gram(pts, kernel)
+        assert np.array_equal(rep.matrix, K)
+        assert (rep.min_eigenvalue, rep.max_eigenvalue, rep.psd_pass) == (lo, hi, ok)
+
+    def test_one_call_per_entry(self):
+        calls = []
+        M = np.arange(25.0).reshape(5, 5)
+
+        def kernel(i, j):
+            calls.append((i, j))
+            return M[i, j] + M[j, i]
+
+        gram(list(range(5)), kernel)
+        assert sorted(calls) == [(i, j) for i in range(5) for j in range(5)]
+
+    @pytest.mark.parametrize("cells", [[(2, 0), (1, 3)], [(3, 1)], [(1, 2), (3, 0)]])
+    def test_asymmetry_names_the_same_pair(self, cells):
+        rng = np.random.default_rng(14)
+        M = _random_symmetric(rng, 4, psd=True)
+        for i, j in cells:
+            M[i, j] += 1e-6
+        kernel = _table_kernel(M)
+        with pytest.raises(KernelAsymmetric) as expected:
+            _gram_reference(list(range(4)), kernel)
+        with pytest.raises(KernelAsymmetric) as got:
+            gram(list(range(4)), kernel)
+        assert str(got.value) == str(expected.value)
+
+
+class TestSelectivityMatchesPairwiseReference:
+    def _assert_matches(self, orbits, kernel):
+        rep = selectivity_scan(orbits, kernel)
+        same, distinct = _selectivity_reference(orbits, kernel)
+        assert (rep.same_orbit_min, rep.distinct_orbit_max) == (same, distinct)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_symmetric_kernels(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, size=int(rng.integers(1, 4)))
+        labels = np.cumsum(np.concatenate([[0], sizes]))
+        orbits = [
+            Orbit(representative=int(lo), members=list(range(lo, hi)))
+            for lo, hi in zip(labels[:-1], labels[1:])
+        ]
+        kernel = _table_kernel(_random_symmetric(rng, int(labels[-1]), psd=True))
+        self._assert_matches(orbits, kernel)
+
+    def test_suite_step_ktilde_setup(self):
+        self._assert_matches(*_suite_step_setup())
+
+    def test_single_orbit(self):
+        orbits, kernel = _suite_step_setup()
+        self._assert_matches(orbits[:1], kernel)
+        assert selectivity_scan(orbits[:1], kernel).distinct_orbit_max == -np.inf
+
+    def test_one_member_orbit(self):
+        orbits, kernel = _suite_step_setup()
+        lone = Orbit(representative=orbits[1].representative,
+                     members=[orbits[1].representative])
+        self._assert_matches([orbits[0], lone], kernel)
+        self._assert_matches([lone, orbits[0]], kernel)
+
+    def test_suite_setup_makes_one_call_per_member_pair(self):
+        orbits, kernel = _suite_step_setup()
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return kernel(a, b)
+
+        selectivity_scan(orbits, counted)
+        assert len(calls) == 64
+
+
+class TestArrayStepKernel:
+    def test_equals_scalar_formula_elementwise(self):
+        rng = np.random.default_rng(15)
+        a = rng.uniform(-0.8, 0.8, (7, 1))
+        b = rng.uniform(-0.8, 0.8, 5)
+        out = step_kernel_exact(a, b, 0.8)
+        assert out.shape == (7, 5)
+        expected = [[0.8 - max(x, y) for y in b] for x in a[:, 0]]
+        assert np.array_equal(out, expected)
+
+    def test_scalar_inputs_give_a_float(self):
+        assert type(step_kernel_exact(np.float64(0.2), 0.5, 1.0)) is float
+
+    @pytest.mark.parametrize(
+        "xs, xs2, p",
+        [(np.nan, 0.5, 1.0), (0.5, np.nan, 1.0), (0.0, 0.0, np.inf),
+         (0.0, 0.0, np.nan), ([0.1, np.nan], 0.0, 1.0), ([0.1, 1.5], 0.0, 1.0)],
+    )
+    def test_nan_projection_or_infinite_p_out_of_range(self, xs, xs2, p):
+        with pytest.raises(OutOfRange):
+            step_kernel_exact(xs, xs2, p)
+        if np.ndim(xs) == 0:
+            with pytest.raises(OutOfRange):
+                step_kernel_numeric(xs, xs2, p)
+
+
+class TestKernelsSuiteStepChecks:
+    def test_block_draws_match_pairwise_draws(self):
+        pairwise = np.random.default_rng(16)
+        values = [pairwise.uniform(-1, 1, 2) for _ in range(10_100)]
+        block = np.random.default_rng(16)
+        first = block.uniform(-1, 1, (10_000, 2))
+        second = block.uniform(-1, 1, (100, 2))
+        assert np.array_equal(np.vstack([first, second]), values)
+        assert block.bit_generator.state == pairwise.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_values_match_scalar_loops(self, seed):
+        report = run_suite(SuiteConfig(suite="kernels", seed=seed, samples=100))
+        rows = {c.check_id: c.value for c in report.checks}
+        rng = np.random.default_rng(seed)
+        assert rows["kernels.step_identity"] == _step_identity_reference(rng)
+        assert rows["kernels.step_numeric_oracle"] == _step_oracle_reference(rng)

@@ -269,6 +269,25 @@ class TestNetworkForward:
         expected = layer_forward(mid / np.linalg.norm(mid), layer2)
         np.testing.assert_allclose(network_forward(x, net), expected)
 
+    def test_without_renormalization_feeds_raw_signature(self):
+        rng = np.random.default_rng(3)
+        layer1 = HWLayer(
+            templates=tuple(normalize(rng.standard_normal(3)) for _ in range(2)),
+            biases=(0.0, 0.4),
+            group=cyclic_group(3),
+            pooling=PoolingSpec("mex", xi=2.0),
+        )
+        layer2 = HWLayer(
+            templates=(normalize(rng.standard_normal(4)),),
+            biases=(-0.1, 0.2),
+            group=cyclic_group(4),
+            pooling=PoolingSpec("max"),
+        )
+        net = HWNetwork(layers=(layer1, layer2), renormalize_between_layers=False)
+        x = normalize(rng.standard_normal(3))
+        expected = layer_forward(layer_forward(x, layer1), layer2)
+        np.testing.assert_array_equal(network_forward(x, net), expected)
+
     def test_zero_signature_raises(self):
         dead = HWLayer(
             templates=(normalize([1.0, 0.0]),),

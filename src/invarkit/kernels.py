@@ -206,6 +206,8 @@ def ktilde_step(
     p minus the weighted average over templates, and exact double group
     average, of max(<I2, g t>, <I, g' t>).
     """
+    if not 0 < p < np.inf:
+        raise OutOfRange("p must be positive and finite")
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or abs(np.sum(w) - 1.0) > 1e-12:
         raise WeightsNotNormalized("weights must be nonnegative and sum to 1")
@@ -216,8 +218,7 @@ def ktilde_step(
         gt = t.values[G.elements]  # rows g t
         a = gt @ I2.values  # <I2, g t> over g
         c = gt @ I.values  # <I, g' t> over g'
-        if np.max(np.abs(a)) > p + 1e-12 or np.max(np.abs(c)) > p + 1e-12:
-            raise OutOfRange("projections must lie in [-p, p]")
+        _check_projections(a, c, p + 1e-12)  # 1e-12 slack for rounding
         total += wt * float(np.mean(np.maximum(a[:, None], c[None, :])))
     return p - total
 

@@ -23,10 +23,7 @@ from .errors import (
 )
 from .signals import FiniteGroup, Signal, apply, cyclic_group
 
-# Dispatch thresholds for the log-mean-exp pooling (overflow safety at the
-# documented min/mean/max limits).
-_MEX_XI_MAX = 1e6
-_MEX_XI_MEAN = 1e-9
+_EPS = np.finfo(float).eps
 
 POOL_KINDS = ("sum", "max", "mean", "softmax", "mex")
 
@@ -56,43 +53,28 @@ class PoolingSpec:
 def mex(values, xi: float) -> float:
     """Log-mean-exp aggregation: (1/xi) * log(mean(exp(xi * v))).
 
-    Interpolates min -> mean -> max as xi runs over the reals. Evaluated
-    with a max shift; |xi| beyond the dispatch thresholds returns the exact
-    limit to avoid overflow.
+    Interpolates min -> mean -> max as xi runs over the reals. Centred on
+    c = max(v) for xi > 0 and min(v) otherwise, it is c + log1p(m) / xi with
+    m = mean(expm1(xi * (v - c))) in (-1, 0]; below m = -1/2, where the expm1
+    sum cancels, log(1 + m) is taken from the exp sum. Its limits, the centred
+    mean (|xi| * (max - min) below rounding) and c (xi = +-inf), join it to
+    within rounding.
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise EmptyPool("mex over empty values")
-    if abs(xi) < _MEX_XI_MEAN:
-        return float(np.mean(v))
-    if xi > _MEX_XI_MAX:
-        return float(np.max(v))
-    if xi < -_MEX_XI_MAX:
-        return float(np.min(v))
-    return float((_logsumexp(xi * v) - np.log(float(v.size))) / xi)
-
-
-def _logsumexp(a: np.ndarray):
-    """log(sum(exp(a))) with the arithmetic of scipy.special.logsumexp.
-
-    The m entries equal to the maximum are split off: log1p of the shifted
-    sum of the rest over m, plus log m, plus the maximum. Without scipy's
-    array-API dispatch this costs a few microseconds on short vectors.
-    Counts go through np.log as floats, which numpy converts faster than
-    Python ints and to the same value.
-    """
-    top = a.max()
-    if not math.isfinite(top):  # inf or nan present: the unshifted form
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.log(np.exp(a).sum())
-    hit = a == top
-    m = float(np.count_nonzero(hit))
-    shifted = a - top
-    shifted[hit] = -np.inf
-    s = np.exp(shifted, out=shifted).sum()
-    if s != 0:
-        s /= m
-    return np.log1p(s) + np.log(m) + top
+    hi, lo = float(v.max()), float(v.min())
+    c = hi if xi > 0 else lo
+    if math.isinf(xi) or not math.isfinite(c):  # a NaN value gives NaN
+        return c
+    d = v - c
+    if xi == 0 or abs(xi) * (hi - lo) <= _EPS:
+        return c + float(d.sum()) / v.size
+    d *= xi
+    m = float(np.expm1(d).sum()) / v.size
+    if m > -0.5:
+        return c + math.log1p(m) / xi
+    return c + math.log(float(np.exp(d, out=d).sum()) / v.size) / xi
 
 
 def softmax_pool(values, n: int) -> float:

@@ -27,7 +27,8 @@ class Signal:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise DimensionMismatch("signal must be a 1-d vector with d >= 1")
-        if abs(np.linalg.norm(v) - 1.0) > _NORM_TOL:
+        # written as "inside the tolerance" so that a NaN entry fails too
+        if not abs(np.linalg.norm(v) - 1.0) <= _NORM_TOL:
             raise ValueError("signal is not unit-norm; use normalize()")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

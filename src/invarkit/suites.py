@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
@@ -39,6 +41,10 @@ class SuiteConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("seed", "samples", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidConfig(f"{name} must be an integer, not {value!r}")
         if self.suite not in SUITES:
             raise InvalidConfig(f"unknown suite {self.suite!r}")
         if self.fmt not in ("json", "csv"):
@@ -475,13 +481,19 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     )
 
 
+def _json_number(x):
+    """A float as JSON allows it: non-finite values as the strings the CSV uses."""
+    return str(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def report_to_json(report: SuiteReport) -> str:
+    checks = [{k: _json_number(x) for k, x in asdict(c).items()} for c in report.checks]
     return json.dumps(
         {
             "suite": report.suite,
             "seed": report.seed,
             "wall_time": report.wall_time,
-            "checks": [asdict(c) for c in report.checks],
+            "checks": checks,
         },
         indent=2,
     )

@@ -1,12 +1,16 @@
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from invarkit import cli
 from invarkit.cli import main, parse_config
 from invarkit.errors import InvalidConfig, MalformedFile
 from invarkit.suites import (
+    CheckResult,
     SuiteConfig,
+    SuiteReport,
     report_to_csv,
     report_to_json,
     run_suite,
@@ -103,7 +107,54 @@ class TestParseConfig:
             parse_config(["run", "--config", str(p)])
 
 
+class TestSuiteConfigTypes:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("seed", 1.5), ("seed", True), ("seed", "3"), ("samples", 2.5),
+         ("samples", False), ("workers", 1.5), ("workers", True)],
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(InvalidConfig):
+            SuiteConfig(suite="ramps", **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SuiteConfig(seed=np.int64(3), samples=np.int32(10), workers=np.uint8(2))
+        assert (cfg.seed, cfg.samples, cfg.workers) == (3, 10, 2)
+
+    def test_float_seed_fails_before_the_run(self):
+        with pytest.raises(InvalidConfig):
+            run_suite(SuiteConfig(suite="ramps", seed=1.5))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
 class TestReports:
+    def test_non_finite_values_are_strings(self):
+        rows = [
+            CheckResult("a", "fail", np.inf, 3.0, "derived"),
+            CheckResult("b", "fail", -np.inf, np.inf, "derived"),
+            CheckResult("c", "fail", np.nan, 1e-12, "paper"),
+            CheckResult("d", "pass", 0.1 + 0.2, 1e-12, "paper"),
+        ]
+        report = SuiteReport(suite="mex", seed=0, checks=tuple(rows), wall_time=0.5)
+        text = report_to_json(report)
+        doc = json.loads(text, parse_constant=_reject_constant)
+        assert [(r["value"], r["tolerance"]) for r in doc["checks"]] == [
+            ("inf", 3.0), ("-inf", "inf"), ("nan", 1e-12), (0.1 + 0.2, 1e-12)
+        ]
+        # finite rows are written exactly as json.dumps writes them
+        finite = json.dumps(asdict(rows[3]), indent=2).replace("\n", "\n    ")
+        assert "    " + finite in text
+
+    def test_cli_report_with_infinite_value_is_json(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        main(["run", "--suite", "kernels", "--samples", "2", "--out", str(out)])
+        doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+        row = next(r for r in doc["checks"] if r["check_id"] == "kernels.arccos_oracle")
+        assert row["value"] == "inf"
+
     def test_json_schema(self):
         report = run_suite(SuiteConfig(suite="mex", seed=3))
         doc = json.loads(report_to_json(report))

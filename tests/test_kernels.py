@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,6 +290,28 @@ class TestKtildeStep:
         t = normalize([1.0, 0.0])
         with pytest.raises(WeightsNotNormalized):
             ktilde_step(t, t, [t], [0.7], G, 1.0)
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf, 0.0, -1.0])
+    def test_p_outside_zero_to_inf_raises(self, p):
+        t = normalize([1.0, 0.0])
+        with pytest.raises(OutOfRange):
+            ktilde_step(t, t, [t], [1.0], cyclic_group(2), p)
+
+    def test_nan_projection_raises(self):
+        # a Signal cannot hold NaN, so a stand-in carries it
+        t = normalize([1.0, 0.0])
+        bad = SimpleNamespace(values=np.array([np.nan, 0.0]))
+        with pytest.raises(OutOfRange):
+            ktilde_step(bad, t, [t], [1.0], cyclic_group(2), 1.0)
+        with pytest.raises(OutOfRange):
+            ktilde_step(t, bad, [t], [1.0], cyclic_group(2), 1.0)
+
+    def test_projection_bound_keeps_its_slack(self):
+        t = normalize([1.0, 0.0])
+        G = cyclic_group(2)
+        assert ktilde_step(t, t, [t], [1.0], G, 1.0 - 5e-13) == pytest.approx(0.25, abs=1e-12)
+        with pytest.raises(OutOfRange):
+            ktilde_step(t, t, [t], [1.0], G, 0.99)
 
 
 class TestGram:

@@ -1,7 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from invarkit.errors import DimensionMismatch, EmptyPool, ZeroSignature
@@ -70,36 +72,102 @@ class TestPool:
             assert a <= b + 1e-12
 
 
+_EPS = np.finfo(float).eps
+
+
+def _scale(values):
+    return _EPS * max(1.0, max(abs(x) for x in values))
+
+
 def _mex_reference(values, xi):
     """mex as evaluated through scipy.special.logsumexp."""
     v = np.asarray(values, dtype=float)
-    if abs(xi) < 1e-9:
-        return float(np.mean(v))
-    if xi > 1e6:
-        return float(np.max(v))
-    if xi < -1e6:
-        return float(np.min(v))
     return float((logsumexp(xi * v) - np.log(v.size)) / xi)
 
 
-# Values with ties and rectified zeros, and xi of both signs around the
-# mean (1e-9) and max/min (1e6) dispatch thresholds.
+def _mex_exact(values, xi):
+    """mex of the given floats to 60 significant digits, rounded once."""
+    if np.isinf(xi):
+        return max(values) if xi > 0 else min(values)
+    with mpmath.workdps(60):
+        if xi == 0:
+            return float(mpmath.fsum(values) / len(values))
+        c = mpmath.mpf(max(values) if xi > 0 else min(values))
+        terms = (mpmath.expm1(xi * (mpmath.mpf(x) - c)) for x in values)
+        return float(c + mpmath.log1p(mpmath.fsum(terms) / len(values)) / xi)
+
+
+# Values with ties and rectified zeros; xi over 0, +-inf and +-[1e-300, 1e300],
+# log-uniform in magnitude, with the points where mex once switched branches
+# and subnormal xi, whose products xi * (v - c) would lose their precision.
 _POOLED = st.one_of(st.sampled_from([0.0, 0.25, 1.0, -0.5]), st.floats(-50, 50))
+_XI_MAGNITUDE = st.builds(
+    lambda m, e: m * 10.0**e, st.floats(1, 10, exclude_max=True), st.integers(-300, 299)
+)
 _XI = st.one_of(
-    st.floats(-100, 100),
-    st.floats(5e-10, 2e-8),
-    st.floats(-2e-8, -5e-10),
-    st.floats(1e5, 1.1e6),
-    st.floats(-1.1e6, -1e5),
-    st.sampled_from([1e-9, -1e-9, 1e6, -1e6, np.nextafter(1e6, 0), 1.0]),
+    st.sampled_from([0.0, np.inf, -np.inf, 1e-9, -1e-9, 1e6, -1e6, 5e-324, -1e-310]),
+    _XI_MAGNITUDE,
+    _XI_MAGNITUDE.map(lambda x: -x),
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
 )
 
 
+_SMALL_POOLS = [[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.25, 1.0], [-50.0, 50.0, 3.0]]
+
+
+class TestMexAccuracy:
+    @given(st.lists(_POOLED, min_size=1, max_size=129), _XI)
+    @settings(max_examples=400, deadline=None)
+    def test_within_4_eps_of_exact(self, values, xi):
+        assert abs(mex(values, xi) - _mex_exact(values, xi)) <= 4 * _scale(values)
+
+    @pytest.mark.parametrize("values", _SMALL_POOLS)
+    @pytest.mark.parametrize("edge", [1e-9, -1e-9, 1e6, -1e6, "rounding"])
+    def test_continuous_at_dispatch_points(self, values, edge):
+        if edge == "rounding":  # where |xi| * (max - min) reaches eps
+            edge = _EPS / (max(values) - min(values))
+        xis = [np.nextafter(edge, 0), edge, np.nextafter(edge, 2 * edge)]
+        out = [mex(values, xi) for xi in xis]
+        for a, b in zip(out, out[1:]):
+            assert abs(a - b) <= 4 * _scale(values)
+
+    @pytest.mark.parametrize("values", _SMALL_POOLS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_accurate_where_expm1_gives_way_to_exp(self, values, sign):
+        # the xi at which mean(expm1(xi * (v - c))) crosses -1/2
+        v = np.asarray(values)
+        c = v.max() if sign > 0 else v.min()
+        root = brentq(lambda xi: np.mean(np.expm1(xi * (v - c))) + 0.5, sign * 1e-3, sign * 1e3)
+        for k in range(-8, 9):
+            xi = root * (1 + k * _EPS)
+            assert abs(mex(values, xi) - _mex_exact(values, xi)) <= 4 * _scale(values)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_accurate_with_most_values_far_from_the_extreme(self, sign):
+        # mean(expm1) lies near -1 here; the expm1 sum alone misses by ~10 eps
+        values = [sign * x for x in [50.0, *np.linspace(-50, -20, 128)]]
+        xi = sign * 0.1
+        assert abs(mex(values, xi) - _mex_exact(values, xi)) <= 4 * _scale(values)
+
+
+# scipy's xi * v overflows to +-inf on these finite values; the true mex is
+# finite and rounds to the extreme that the sign of xi selects.
+_SCIPY_OVERFLOWS = {
+    ((1e308, 1e308), -2.0): 1e308,
+    ((1e308, 1e308), 1e5): 1e308,
+    ((-1e308, 0.0), -2.0): -1e308,
+}
+
+
 class TestMexMatchesLogsumexp:
-    @given(st.lists(_POOLED, min_size=1, max_size=70), _XI)
+    @given(
+        st.lists(_POOLED, min_size=1, max_size=70),
+        st.one_of(st.floats(1, 1e5), st.floats(-1e5, -1)),
+    )
     @settings(max_examples=500, deadline=None)
-    def test_bit_identical(self, values, xi):
-        assert mex(values, xi) == _mex_reference(values, xi)
+    def test_within_8_eps(self, values, xi):
+        assert abs(mex(values, xi) - _mex_reference(values, xi)) <= 8 * _scale(values)
 
     @pytest.mark.parametrize(
         "values",
@@ -111,6 +179,7 @@ class TestMexMatchesLogsumexp:
         with np.errstate(all="ignore"):
             expected = _mex_reference(values, xi)
             actual = mex(values, xi)
+        expected = _SCIPY_OVERFLOWS.get((tuple(values), xi), expected)
         assert np.array_equal(actual, expected, equal_nan=True)
 
 

@@ -31,6 +31,15 @@ class TestNormalize:
         with pytest.raises(ValueError):
             Signal(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_signal_rejects_non_finite_entry(self, entry):
+        with pytest.raises(ValueError):
+            Signal(np.array([entry, 0.0]))
+
+    def test_normalize_rejects_nan(self):
+        with pytest.raises(ValueError):
+            normalize([np.nan, 1.0])
+
 
 class TestCyclicGroup:
     def test_order_one(self):

@@ -27,6 +27,7 @@ from .kernels import (
     KernelEstimate,
     TemplateSampler,
     arccos1_kernel,
+    features,
     gram,
     k0_mc,
     ktilde_mc,

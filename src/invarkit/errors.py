@@ -5,6 +5,10 @@ class InvarkitError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(InvarkitError, ValueError):
+    """An argument has the wrong type or lies outside its admissible values."""
+
+
 class ZeroVector(InvarkitError):
     """Normalization requested for a vector with (near-)zero norm."""
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     KernelAsymmetric,
     OutOfRange,
     WeightsNotNormalized,
@@ -46,11 +49,18 @@ class TemplateSampler:
 
     def __post_init__(self):
         if self.template_law not in TEMPLATE_LAWS:
-            raise ValueError(f"unknown template law {self.template_law!r}")
+            raise InvalidArgument(f"unknown template law {self.template_law!r}")
         if self.bias_law not in BIAS_LAWS:
-            raise ValueError(f"unknown bias law {self.bias_law!r}")
-        if self.bias_law == "uniform" and not self.bias_range > 0:
-            raise ValueError("uniform bias law needs bias_range > 0")
+            raise InvalidArgument(f"unknown bias law {self.bias_law!r}")
+        # None would seed from OS entropy, and True would pass as 1
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise InvalidArgument(f"seed must be a nonnegative integer, not {seed!r}")
+        r = self.bias_range
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not math.isfinite(r):
+            raise InvalidArgument(f"bias_range must be a finite real, not {r!r}")
+        if self.bias_law == "uniform" and not r > 0:
+            raise InvalidArgument("uniform bias law needs bias_range > 0")
 
     def draw(self, d: int, S: int, stream: int = 0):
         """Draw S templates (rows) and biases; ``stream`` derives a substream.
@@ -91,7 +101,7 @@ class KernelEstimate:
 
     def __post_init__(self):
         if self.samples < 2:
-            raise ValueError("need at least 2 samples for a standard error")
+            raise InvalidArgument("need at least 2 samples for a standard error")
 
 
 def _estimate(products: np.ndarray) -> KernelEstimate:
@@ -103,13 +113,43 @@ def _estimate(products: np.ndarray) -> KernelEstimate:
     )
 
 
+def features(
+    signals, sampler: TemplateSampler, S: int, group: FiniteGroup | None = None
+) -> np.ndarray:
+    """Random feature map: row i holds (1/|G|) sum_g |<t_s, g x_i> + b_s|_+ over s.
+
+    One draw of S (template, bias) pairs serves every signal, so the mean
+    over s of Phi(x)_s Phi(x')_s estimates the group-averaged kernel
+    k~(x, x'), and k0 for ``group=None``. The group average is an exact
+    finite sum. Returns an (m, S) array for m signals.
+    """
+    try:
+        S = operator.index(S)
+    except TypeError:
+        raise InvalidArgument(f"S must be an integer, not {S!r}") from None
+    if S < 2:
+        raise InvalidArgument("need at least 2 samples for a standard error")
+    signals = list(signals)
+    if not signals:
+        raise InvalidArgument("need at least one signal")
+    d = signals[0].dim
+    if any(x.dim != d for x in signals) or (group is not None and group.dim != d):
+        raise DimensionMismatch("signal/group dimensions differ")
+    T, b = sampler.draw(d, S)
+    X = np.stack([x.values for x in signals])
+    # <g t, x> = <t, g^{-1} x>; summing over all g covers all inverses.
+    orbit_rows = X if group is None else X[:, group.elements].reshape(-1, d)
+    R = orbit_rows @ T.T  # (m |G|, S): one row per g x_i
+    R += b
+    np.maximum(R, 0.0, out=R)
+    if len(R) == len(X):  # one orbit row per signal: the mean is the row
+        return R
+    return R.reshape(len(X), -1, S).mean(axis=1)
+
+
 def k0_mc(x: Signal, x2: Signal, sampler: TemplateSampler, S: int) -> KernelEstimate:
     """Base kernel estimate: mean over draws of |<t,x>+b|_+ |<t,x'>+b|_+."""
-    if x.dim != x2.dim:
-        raise DimensionMismatch("inputs have different dimensions")
-    T, b = sampler.draw(x.dim, S)
-    u = np.maximum(T @ x.values + b, 0.0)
-    v = np.maximum(T @ x2.values + b, 0.0)
+    u, v = features((x, x2), sampler, S)
     return _estimate(u * v)
 
 
@@ -125,14 +165,7 @@ def ktilde_mc(
     The double group sum factorizes per sample into the product of two
     single group averages; only the (t, b) draw is Monte-Carlo.
     """
-    if x.dim != x2.dim or x.dim != G.dim:
-        raise DimensionMismatch("signal/group dimensions differ")
-    T, b = sampler.draw(x.dim, S)
-    # <g t, x> = <t, g^{-1} x>; summing over all g covers all inverses.
-    gx = x.values[G.elements]  # (order, d), rows are g x
-    gx2 = x2.values[G.elements]
-    u = np.maximum(T @ gx.T + b[:, None], 0.0).mean(axis=1)
-    v = np.maximum(T @ gx2.T + b[:, None], 0.0).mean(axis=1)
+    u, v = features((x, x2), sampler, S, G)
     return _estimate(u * v)
 
 
@@ -185,7 +218,7 @@ def step_kernel_numeric(
     uniform b-grid.
     """
     if grid_points < 1000:
-        raise ValueError("grid_points must be >= 1000")
+        raise InvalidArgument("grid_points must be >= 1000")
     _check_projections(xs, xs2, p)
 
     b = np.linspace(-p, p, grid_points)
@@ -247,7 +280,7 @@ def gram(points, kernel) -> GramReport:
     (floating-point slack).
     """
     if len(points) < 2:
-        raise ValueError("need at least 2 points")
+        raise InvalidArgument("need at least 2 points")
     K = _kernel_matrix(points, kernel)
     asym = np.argwhere(np.triu(np.abs(K - K.T) > 1e-9))
     if asym.size:

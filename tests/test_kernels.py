@@ -5,16 +5,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from invarkit.errors import (
     DimensionMismatch,
+    InvalidArgument,
+    InvarkitError,
     KernelAsymmetric,
     OutOfRange,
     WeightsNotNormalized,
 )
 from invarkit.kernels import (
+    KernelEstimate,
     TemplateSampler,
+    _estimate,
     arccos1_kernel,
+    features,
     gram,
     gram_summary_json,
     gram_to_csv,
@@ -642,3 +648,209 @@ class TestKernelsSuiteStepChecks:
         rng = np.random.default_rng(seed)
         assert rows["kernels.step_identity"] == _step_identity_reference(rng)
         assert rows["kernels.step_numeric_oracle"] == _step_oracle_reference(rng)
+
+
+def _unit(rng, d):
+    return normalize(rng.standard_normal(d))
+
+
+def _features_reference(xs, sampler, S, G):
+    """Row by row, one matrix-vector product per orbit point g x."""
+    T, b = sampler.draw(xs[0].dim, S)
+    return np.stack([
+        np.mean([np.maximum(T @ gx + b, 0.0) for gx in x.values[G.elements]], axis=0)
+        for x in xs
+    ])
+
+
+@pytest.fixture
+def draw_count(monkeypatch):
+    calls = []
+    draw = TemplateSampler.draw
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return draw(self, *args, **kwargs)
+
+    monkeypatch.setattr(TemplateSampler, "draw", counted)
+    return calls
+
+
+class TestFeatures:
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_shape_and_definition(self, d):
+        rng = np.random.default_rng(d)
+        xs = [_unit(rng, d) for _ in range(5)]
+        s = TemplateSampler(seed=d)
+        G = cyclic_group(d)
+        for group in (None, G):
+            Phi = features(xs, s, 7, group)
+            assert Phi.shape == (5, 7)
+        ref = _features_reference(xs, s, 300, G)
+        assert np.allclose(features(xs, s, 300, G), ref, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_k0_and_ktilde_estimate_the_feature_products(self, d):
+        rng = np.random.default_rng(20 + d)
+        x, y = _unit(rng, d), _unit(rng, d)
+        s = TemplateSampler(seed=d)
+        G = cyclic_group(d)
+        for a, b in ((x, x), (x, y), (y, x)):
+            u, v = features((a, b), s, 500)
+            assert k0_mc(a, b, s, 500) == _estimate(u * v)
+            u, v = features((a, b), s, 500, G)
+            assert ktilde_mc(a, b, G, s, 500) == _estimate(u * v)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_no_group_equals_identity_group(self, d):
+        rng = np.random.default_rng(30 + d)
+        xs = [_unit(rng, d) for _ in range(4)]
+        s = TemplateSampler(seed=2)
+        G1 = FiniteGroup(np.arange(d)[None])
+        assert np.array_equal(features(xs, s, 400), features(xs, s, 400, G1))
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_orbit_points_have_equal_rows(self, d):
+        rng = np.random.default_rng(40 + d)
+        x = _unit(rng, d)
+        G = cyclic_group(d)
+        Phi = features([apply(g, x) for g in G], TemplateSampler(seed=d), 1000, G)
+        assert np.max(np.abs(Phi - Phi[0])) <= 1e-12
+
+    def test_one_draw_per_call(self, draw_count):
+        rng = np.random.default_rng(50)
+        x, y = _unit(rng, 4), _unit(rng, 4)
+        s = TemplateSampler(seed=5)
+        G = cyclic_group(4)
+        for call in (
+            lambda: features([x, y, x], s, 100),
+            lambda: features([x, y, x], s, 100, G),
+            lambda: k0_mc(x, y, s, 100),
+            lambda: ktilde_mc(x, y, G, s, 100),
+        ):
+            draw_count.clear()
+            call()
+            assert draw_count == [(4, 100)]
+
+    def test_dimension_mismatch(self):
+        s = TemplateSampler(seed=0)
+        x2, x3 = normalize([1.0, 0.0]), normalize([0.0, 1.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            features([x2, x3], s, 10)
+        with pytest.raises(DimensionMismatch):
+            features([x3, x3], s, 10, cyclic_group(2))
+        with pytest.raises(DimensionMismatch):
+            ktilde_mc(x2, x2, cyclic_group(3), s, 10)
+
+    def test_empty_signal_list(self, draw_count):
+        with pytest.raises(InvalidArgument):
+            features([], TemplateSampler(seed=0), 10)
+        assert draw_count == []
+
+    def test_two_threads_share_one_sampler(self):
+        rng = np.random.default_rng(60)
+        s = TemplateSampler(seed=6)
+        cases = [
+            ([_unit(rng, d) for _ in range(3)], S, group)
+            for d in (2, 4, 8)
+            for S in (50, 51)
+            for group in (None, cyclic_group(d))
+        ]
+        expected = [features(xs, s, S, G) for xs, S, G in cases]
+        failures = []
+
+        def worker(seed):
+            order = np.random.default_rng(seed).permutation(10 * len(cases))
+            for k in order:
+                xs, S, G = cases[k % len(cases)]
+                if not np.array_equal(features(xs, s, S, G), expected[k % len(cases)]):
+                    failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+
+def _ktilde_exact(x, y, G):
+    """Closed-form k-tilde under Gaussian templates and biases.
+
+    <t, g x> + b = <(t, b), (g x, 1)> with (t, b) ~ N(0, I), so each term of
+    the double group average is the order-1 arc-cosine kernel.
+    """
+    return np.mean([
+        arccos1_kernel(np.append(gx, 1.0), np.append(gy, 1.0))
+        for gx in x.values[G.elements]
+        for gy in y.values[G.elements]
+    ])
+
+
+class TestKtildeClosedForm:
+    # Sum of squared z over independent pairs is chi-square with one degree
+    # of freedom per pair for an unbiased estimator; unlike max |z| it also
+    # gains power from a bias that all pairs share.
+    PAIRS = 40
+    FALSE_ALARM = 1e-3
+
+    def test_pooled_z_against_chi_square(self):
+        rng = np.random.default_rng(70)
+        z = []
+        for i in range(self.PAIRS):
+            d = (2, 4, 8)[i % 3]
+            G = cyclic_group(d)
+            x, y = _unit(rng, d), _unit(rng, d)
+            est = ktilde_mc(x, y, G, TemplateSampler(seed=1000 + i), 100_000)
+            z.append((est.value - _ktilde_exact(x, y, G)) / est.stderr)
+        stat = float(np.sum(np.square(z)))
+        assert stat <= chi2.isf(self.FALSE_ALARM, self.PAIRS), (stat, max(np.abs(z)))
+
+
+class TestKernelArgumentErrors:
+    @pytest.mark.parametrize("seed", [None, True, False, -1, 1.0, 1.5, "3", np.nan])
+    def test_sampler_rejects_seed(self, seed):
+        with pytest.raises(InvalidArgument):
+            TemplateSampler(seed=seed)
+
+    @pytest.mark.parametrize("bias_law", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("bias_range", [np.inf, -np.inf, np.nan, "1", None])
+    def test_sampler_rejects_non_finite_bias_range(self, bias_law, bias_range):
+        with pytest.raises(InvalidArgument):
+            TemplateSampler(bias_law=bias_law, bias_range=bias_range)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TemplateSampler(template_law="cauchy"),
+            lambda: TemplateSampler(bias_law="laplace"),
+            lambda: TemplateSampler(bias_law="uniform", bias_range=0.0),
+            lambda: KernelEstimate(value=0.0, stderr=0.0, samples=1),
+            lambda: step_kernel_numeric(0.0, 0.0, 1.0, grid_points=999),
+            lambda: gram([normalize([1.0])], lambda a, b: 1.0),
+        ],
+    )
+    def test_bare_value_errors_are_typed(self, make):
+        with pytest.raises(InvalidArgument) as err:
+            make()
+        assert isinstance(err.value, InvarkitError) and isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("S", [-1, 0, 1, True, 2.0, "3", None])
+    def test_sample_count_checked_before_the_draw(self, S, draw_count):
+        x = normalize([0.6, 0.8])
+        G = cyclic_group(2)
+        s = TemplateSampler(seed=0)
+        for call in (
+            lambda: features([x], s, S),
+            lambda: k0_mc(x, x, s, S),
+            lambda: ktilde_mc(x, x, G, s, S),
+        ):
+            with pytest.raises(InvalidArgument):
+                call()
+        assert draw_count == []

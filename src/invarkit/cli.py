@@ -5,7 +5,7 @@
 
 Config-file values are overridden by explicit flags; unknown config keys
 are rejected. Exit status is 0 iff every non-skipped check passed, and 2
-when the configuration is invalid or the report path cannot be written.
+when an InvarkitError stops the run, e.g. an invalid configuration.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .errors import InvalidConfig, MalformedFile, OutputUnwritable
+from .errors import InvarkitError, MalformedFile, OutputUnwritable
 from .suites import SUITES, SuiteConfig, run_suite, write_report
 
 # Config-file key -> the JSON types its value may take.
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
             _probe_output(config.output_path)
         report = run_suite(config)
         write_report(report, config)
-    except (InvalidConfig, MalformedFile, OutputUnwritable) as exc:
+    except InvarkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,12 +12,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DimensionMismatch, DivergenceDetected, InvalidN, SingularSystem
+from .errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    InvalidArgument,
+    InvalidN,
+    SingularSystem,
+)
 
 _JITTER_FLOOR = 1e-12
 
@@ -37,9 +43,9 @@ class HBFModel:
         if c.shape[0] != w.size or c.shape[0] < 1:
             raise DimensionMismatch("one coefficient per center required")
         if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+            raise InvalidArgument("sigma must be positive")
         if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+            raise InvalidArgument("lambda must be nonnegative")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "coeffs", w)
 
@@ -92,13 +98,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if not self.omega > 0:
-            raise ValueError("omega must be positive")
+            raise InvalidArgument("omega must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise InvalidArgument("max_iters must be >= 1")
         if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+            raise InvalidArgument("grad_tol must be positive")
         if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be nonnegative")
+            raise InvalidArgument("noise_amplitude must be nonnegative")
 
 
 def radial_basis(r2, sigma: float):
@@ -262,6 +268,16 @@ class TrainTrace:
                 writer.writerow([int(it), repr(float(obj)), repr(float(gn))])
 
 
+def _trace(objectives, grad_inf_norms, converged: bool) -> TrainTrace:
+    """The trace of iterations 1..k from the k recorded objectives and norms."""
+    return TrainTrace(
+        iterations=np.arange(1, len(objectives) + 1),
+        objectives=np.asarray(objectives),
+        grad_inf_norms=np.asarray(grad_inf_norms),
+        converged=converged,
+    )
+
+
 def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
     """Joint gradient descent on coefficients and centers.
 
@@ -276,7 +292,7 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
     t = model.centers.copy()
     cur = replace(model, centers=t, coeffs=c)
 
-    its, objs, gnorms = [], [], []
+    objs, gnorms = [], []
     h0 = objective(cur, data)
     converged = False
     for it in range(1, config.max_iters + 1):
@@ -291,7 +307,6 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
         gnorm = float(max(parts)) if parts else 0.0
         h = float(delta @ delta)
 
-        its.append(it)
         objs.append(h)
         gnorms.append(gnorm)
 
@@ -320,13 +335,7 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
             c = solve_coeffs(cur, data).coeffs
             cur = replace(cur, coeffs=c)
 
-    trace = TrainTrace(
-        iterations=np.asarray(its),
-        objectives=np.asarray(objs),
-        grad_inf_norms=np.asarray(gnorms),
-        converged=converged,
-    )
-    return cur, trace
+    return cur, _trace(objs, gnorms, converged)
 
 
 # refine_centers: iteration cap, Armijo constant, smallest backtracked step,
@@ -353,7 +362,7 @@ def refine_centers(model: HBFModel, data: TrainingSet, grad_tol: float):
     Raises DivergenceDetected when the starting objective is not finite.
     """
     if not grad_tol > 0:
-        raise ValueError("grad_tol must be positive")
+        raise InvalidArgument("grad_tol must be positive")
     shape = model.centers.shape
 
     def evaluate(x):
@@ -365,11 +374,10 @@ def refine_centers(model: HBFModel, data: TrainingSet, grad_tol: float):
         raise DivergenceDetected(f"objective {h} at the starting centers")
     x = cur.centers.ravel()
     inv_hess = None  # identity until the first curvature pair
-    its, objs, gnorms = [], [], []
+    objs, gnorms = [], []
     converged = False
-    for it in range(1, _REFINE_MAX_ITERS + 1):
+    for _ in range(_REFINE_MAX_ITERS):
         gnorm = float(np.max(np.abs(g)))
-        its.append(it)
         objs.append(h)
         gnorms.append(gnorm)
         if gnorm < grad_tol:
@@ -404,13 +412,7 @@ def refine_centers(model: HBFModel, data: TrainingSet, grad_tol: float):
             inv_hess = v @ inv_hess @ v.T + rho * np.outer(s, s)
         cur, x, h, g = nxt, x2, h2, g2
 
-    trace = TrainTrace(
-        iterations=np.asarray(its),
-        objectives=np.asarray(objs),
-        grad_inf_norms=np.asarray(gnorms),
-        converged=converged,
-    )
-    return cur, trace
+    return cur, _trace(objs, gnorms, converged)
 
 
 @dataclass(frozen=True)
@@ -451,7 +453,7 @@ class CapacityReport:
 def check_capacity(N: int, n: int, d: int, threshold: float = 5.0) -> CapacityReport:
     """Examples-per-parameter ratio N / (n + n d); passes at >= threshold."""
     if N < 1 or n < 1 or d < 1:
-        raise ValueError("N, n, d must all be positive")
+        raise InvalidArgument("N, n, d must all be positive")
     ratio = N / (n + n * d)
     return CapacityReport(ratio=float(ratio), ok=ratio >= threshold)
 

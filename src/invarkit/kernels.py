@@ -27,7 +27,7 @@ from .errors import (
 )
 from .pooling import mex
 from .ramps import step_approx
-from .signals import FiniteGroup, Orbit, Signal, cyclic_group, normalize
+from .signals import FiniteGroup, Signal, cyclic_group, normalize
 
 TEMPLATE_LAWS = ("gaussian", "uniform_sphere")
 BIAS_LAWS = ("gaussian", "uniform")
@@ -113,6 +113,13 @@ def _estimate(products: np.ndarray) -> KernelEstimate:
     )
 
 
+def _require_signals(*xs) -> None:
+    """Raise InvalidArgument, naming the type, for an x that has no values array."""
+    for x in xs:
+        if not isinstance(getattr(x, "values", None), np.ndarray):
+            raise InvalidArgument(f"expected a Signal, not {type(x).__name__}")
+
+
 def features(
     signals, sampler: TemplateSampler, S: int, group: FiniteGroup | None = None
 ) -> np.ndarray:
@@ -132,6 +139,7 @@ def features(
     signals = list(signals)
     if not signals:
         raise InvalidArgument("need at least one signal")
+    _require_signals(*signals)
     d = signals[0].dim
     if any(x.dim != d for x in signals) or (group is not None and group.dim != d):
         raise DimensionMismatch("signal/group dimensions differ")
@@ -239,6 +247,7 @@ def ktilde_step(
     p minus the weighted average over templates, and exact double group
     average, of max(<I2, g t>, <I, g' t>).
     """
+    _require_signals(I, I2, *templates)
     if not 0 < p < np.inf:
         raise OutOfRange("p must be positive and finite")
     w = np.asarray(weights, dtype=float)
@@ -326,6 +335,7 @@ def mex_similarity(x: Signal, y: Signal, G: FiniteGroup, xi: float) -> float:
     Symmetric (the multiset {<x, g y>} equals {<y, g x>}) but not positive
     semidefinite in general.
     """
+    _require_signals(x, y)
     if x.dim != y.dim or x.dim != G.dim:
         raise DimensionMismatch("signal/group dimensions differ")
     dots = y.values[G.elements] @ x.values
@@ -362,12 +372,7 @@ def mex_npsd_scan(
         xi = float(rng.choice(xis))
         G = cyclic_group(d)
         pts = [normalize(rng.standard_normal(d)) for _ in range(n_points)]
-        m = len(pts)
-        K = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                K[i, j] = K[j, i] = mex_similarity(pts[i], pts[j], G, xi)
-        lo = float(np.linalg.eigvalsh(K)[0])
+        lo = gram(pts, lambda a, b: mex_similarity(a, b, G, xi)).min_eigenvalue
         worst = min(worst, lo)
         if lo < eig_threshold:
             return MexScanResult(

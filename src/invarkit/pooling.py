@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     EmptyPool,
+    InvalidArgument,
     SoftMaxDenominatorZero,
     ZeroSignature,
 )
@@ -43,11 +44,11 @@ class PoolingSpec:
 
     def __post_init__(self):
         if self.kind not in POOL_KINDS:
-            raise ValueError(f"unknown pooling kind {self.kind!r}")
+            raise InvalidArgument(f"unknown pooling kind {self.kind!r}")
         if self.kind == "softmax" and (self.n < 1 or int(self.n) != self.n):
-            raise ValueError("softmax order n must be an integer >= 1")
+            raise InvalidArgument("softmax order n must be an integer >= 1")
         if self.kind == "mex" and not np.isfinite(self.xi):
-            raise ValueError("mex xi must be finite")
+            raise InvalidArgument("mex xi must be finite")
 
 
 def mex(values, xi: float) -> float:
@@ -124,7 +125,7 @@ class HWLayer:
         object.__setattr__(self, "templates", tuple(self.templates))
         object.__setattr__(self, "biases", tuple(float(b) for b in self.biases))
         if not self.templates or not self.biases:
-            raise ValueError("layer needs at least one template and one bias")
+            raise InvalidArgument("layer needs at least one template and one bias")
         for t in self.templates:
             if t.dim != self.group.dim:
                 raise DimensionMismatch("template dim differs from group dim")
@@ -229,7 +230,7 @@ def layer_from_json(text: str) -> HWLayer:
     """Inverse of layer_to_json. Only the cyclic group is supported."""
     doc = json.loads(text)
     if doc.get("group") != "cyclic":
-        raise ValueError(f"unsupported group {doc.get('group')!r}")
+        raise InvalidArgument(f"unsupported group {doc.get('group')!r}")
     d = int(doc["dim"])
     p = doc.get("pooling", {})
     spec = PoolingSpec(

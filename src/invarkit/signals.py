@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, InvalidArgument, ZeroVector
 
 _NORM_TOL = 1e-12
 
@@ -29,7 +29,7 @@ class Signal:
             raise DimensionMismatch("signal must be a 1-d vector with d >= 1")
         # written as "inside the tolerance" so that a NaN entry fails too
         if not abs(np.linalg.norm(v) - 1.0) <= _NORM_TOL:
-            raise ValueError("signal is not unit-norm; use normalize()")
+            raise InvalidArgument("signal is not unit-norm; use normalize()")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

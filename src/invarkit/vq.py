@@ -126,9 +126,6 @@ def classify(codebook, x):
     try:
         i = codebook.part_entries.index(key[:half])
         j = codebook.part_entries.index(key[half:])
-    except ValueError:
-        return NO_MATCH
-    try:
         return codebook.composition_table.index((i, j))
     except ValueError:
         return NO_MATCH

@@ -4,9 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from invarkit import cli
+from invarkit import cli, suites
 from invarkit.cli import main, parse_config
-from invarkit.errors import InvalidConfig, MalformedFile
+from invarkit.errors import InvalidConfig, MalformedFile, SingularSystem
 from invarkit.suites import (
     CheckResult,
     SuiteConfig,
@@ -238,6 +238,16 @@ class TestMain:
         captured = capsys.readouterr()
         assert "kernels.arccos_oracle" in captured.out
         assert "Traceback" not in captured.err
+
+    def test_library_error_in_a_suite_exit_two(self, capsys, monkeypatch):
+        def singular(config):
+            raise SingularSystem("normal equations unsolvable after jitter")
+
+        monkeypatch.setitem(suites._SUITE_FUNCS, "ramps", singular)
+        assert main(["run", "--suite", "ramps"]) == 2
+        err = capsys.readouterr().err
+        assert "error: normal equations unsolvable" in err
+        assert "Traceback" not in err
 
     def test_negative_seed_exit_two(self, capsys):
         assert main(["run", "--suite", "hvq", "--seed", "-1"]) == 2

@@ -1,0 +1,49 @@
+"""Invalid arguments to the public API raise a typed InvarkitError."""
+
+import json
+
+import numpy as np
+import pytest
+
+from invarkit import hbf, pooling, ramps
+from invarkit.errors import InvalidArgument, InvarkitError
+from invarkit.signals import Signal, cyclic_group
+
+_MODEL = dict(centers=[[0.0]], coeffs=[1.0], sigma=1.0)
+_LAYER_JSON = {"dim": 2, "group": "dihedral", "templates": [[1.0, 0.0]], "biases": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hbf.HBFModel(**dict(_MODEL, sigma=0.0)),
+        lambda: hbf.HBFModel(**_MODEL, lam=-1.0),
+        lambda: hbf.TrainConfig(omega=0.0, max_iters=1),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=0),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, grad_tol=0.0),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, noise_amplitude=-1.0),
+        lambda: hbf.refine_centers(
+            hbf.HBFModel(**_MODEL), hbf.TrainingSet([[0.0]], [1.0]), grad_tol=0.0
+        ),
+        lambda: hbf.check_capacity(0, 1, 1),
+        lambda: ramps.step_approx(0.0, 0.0),
+        lambda: ramps.hat_via_ramps(0.0, 0.0),
+        lambda: ramps.RampCombination(units=()),
+        lambda: ramps.fit_ramp_combination(np.sin, (1.0, 0.0, 100), 2),
+        lambda: ramps.fit_ramp_combination(np.sin, (0.0, 1.0, 100), 0),
+        lambda: ramps.fit_ramp_combination(np.sin, (0.0, 1.0, 19), 2),
+        lambda: pooling.PoolingSpec("median"),
+        lambda: pooling.PoolingSpec("softmax", n=0),
+        lambda: pooling.PoolingSpec("mex", xi=np.inf),
+        lambda: pooling.HWLayer(
+            (), (0.0,), cyclic_group(2), pooling.PoolingSpec("sum")
+        ),
+        lambda: pooling.layer_from_json(json.dumps(_LAYER_JSON)),
+        lambda: Signal(np.array([1.0, 1.0])),
+    ],
+)
+def test_bare_value_errors_are_typed(call):
+    with pytest.raises(InvarkitError) as err:
+        call()
+    # a ValueError still, so callers that catch ValueError keep working
+    assert isinstance(err.value, InvalidArgument) and isinstance(err.value, ValueError)

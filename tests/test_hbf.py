@@ -147,6 +147,16 @@ class TestGradients:
         model, data = _random_instance(seed)
         assert _gradient_fd_error(model, data) < 1e-5
 
+    @pytest.mark.parametrize("name", ["grad_coeffs", "grad_centers"])
+    @pytest.mark.parametrize("seed", range(0, 100, 7))
+    def test_finite_differences_see_a_one_percent_error(self, seed, name, monkeypatch):
+        # the check must compare both gradients: scaling either one by 1.01
+        # puts it outside the check's 1e-5 tolerance
+        model, data = _random_instance(seed)
+        exact = getattr(hbf, name)
+        monkeypatch.setattr(hbf, name, lambda m, d: 1.01 * exact(m, d))
+        assert _gradient_fd_error(model, data) > 1e-5
+
 
 class TestSolveCoeffs:
     def test_interpolation_square_system(self):

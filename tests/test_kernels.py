@@ -854,3 +854,22 @@ class TestKernelArgumentErrors:
             with pytest.raises(InvalidArgument):
                 call()
         assert draw_count == []
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, v, G, s: features([x, v], s, 10),
+            lambda x, v, G, s: features([v], s, 10, G),
+            lambda x, v, G, s: k0_mc(v, x, s, 10),
+            lambda x, v, G, s: ktilde_mc(x, v, G, s, 10),
+            lambda x, v, G, s: mex_similarity(v, x, G, 1.0),
+            lambda x, v, G, s: mex_similarity(x, v, G, 1.0),
+            lambda x, v, G, s: ktilde_step(v, x, [x], [1.0], G, 1.0),
+            lambda x, v, G, s: ktilde_step(x, v, [x], [1.0], G, 1.0),
+            lambda x, v, G, s: ktilde_step(x, x, [x, v], [0.5, 0.5], G, 1.0),
+        ],
+    )
+    def test_non_signal_argument_is_typed(self, call):
+        x = normalize([0.6, 0.8])
+        with pytest.raises(InvalidArgument, match="ndarray"):
+            call(x, x.values.copy(), cyclic_group(2), TemplateSampler(seed=0))

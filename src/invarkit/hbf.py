@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,24 @@ from .errors import (
 _JITTER_FLOOR = 1e-12
 
 
+def _finite(name: str, v) -> None:
+    """Raise InvalidArgument unless v is a finite real number."""
+    try:
+        ok = math.isfinite(v)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        ok = False
+    if not ok:
+        raise InvalidArgument(f"{name} must be a finite real, not {v!r}")
+
+
+def _index(name: str, v) -> None:
+    """Raise InvalidArgument unless v is an integer (as operator.index takes it)."""
+    try:
+        operator.index(v)
+    except TypeError as exc:
+        raise InvalidArgument(f"{name} must be an integer, not {v!r}") from exc
+
+
 @dataclass(frozen=True)
 class HBFModel:
     """Centers, coefficients, radial width, and ridge regularization."""
@@ -42,6 +61,8 @@ class HBFModel:
         w = np.asarray(self.coeffs, dtype=float).ravel()
         if c.shape[0] != w.size or c.shape[0] < 1:
             raise DimensionMismatch("one coefficient per center required")
+        _finite("sigma", self.sigma)
+        _finite("lambda", self.lam)
         if not self.sigma > 0:
             raise InvalidArgument("sigma must be positive")
         if self.lam < 0:
@@ -97,6 +118,10 @@ class TrainConfig:
     resolve_every: int = 0
 
     def __post_init__(self):
+        for name in ("omega", "grad_tol", "noise_amplitude"):
+            _finite(name, getattr(self, name))
+        for name in ("max_iters", "resolve_every"):
+            _index(name, getattr(self, name))
         if not self.omega > 0:
             raise InvalidArgument("omega must be positive")
         if self.max_iters < 1:
@@ -165,9 +190,20 @@ def grad_coeffs(model: HBFModel, data: TrainingSet) -> np.ndarray:
 
 
 def grad_centers(model: HBFModel, data: TrainingSet) -> np.ndarray:
-    """dH/dt_a = 4 c_a sum_i Delta_i G'(||x_i - t_a||^2) (x_i - t_a)."""
-    diff = data.inputs[:, None, :] - model.centers[None, :, :]  # (N, n, d)
-    weighted = _center_weights(model, data)[:, :, None] * diff
+    """dH/dt_a = 4 c_a sum_i Delta_i G'(||x_i - t_a||^2) (x_i - t_a).
+
+    The (N, n, d) products P_i^a (x_ik - t_ak) are filled one input column k
+    at a time, which avoids a broadcast whose inner loop runs over d alone,
+    and the examples are then summed in index order by one reduction over
+    axis 0. A sum per column takes numpy's pairwise order instead (it
+    differs at n = 1); the bit-identity tests against the broadcast
+    reference pin this order.
+    """
+    P = _center_weights(model, data)
+    X, t = data.inputs, model.centers
+    weighted = np.empty((X.shape[0],) + t.shape)
+    for k in range(t.shape[1]):
+        np.multiply(P, X[:, k, None] - t[:, k], out=weighted[:, :, k])
     return 4.0 * model.coeffs[:, None] * weighted.sum(axis=0)
 
 
@@ -298,11 +334,11 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
     for it in range(1, config.max_iters + 1):
         _, Phi, delta = _forward(cur, data)
         gc = -2.0 * (Phi.T @ delta)
-        gt = grad_centers(cur, data)
         parts = []
         if config.update_coeffs:
             parts.append(np.max(np.abs(gc)))
         if config.update_centers:
+            gt = grad_centers(cur, data)
             parts.append(np.max(np.abs(gt)))
         gnorm = float(max(parts)) if parts else 0.0
         h = float(delta @ delta)

@@ -40,6 +40,21 @@ _LAYER_JSON = {"dim": 2, "group": "dihedral", "templates": [[1.0, 0.0]], "biases
         ),
         lambda: pooling.layer_from_json(json.dumps(_LAYER_JSON)),
         lambda: Signal(np.array([1.0, 1.0])),
+        lambda: hbf.HBFModel(**dict(_MODEL, sigma=np.inf)),
+        lambda: hbf.HBFModel(**dict(_MODEL, sigma=np.nan)),
+        lambda: hbf.HBFModel(**_MODEL, lam=np.nan),
+        lambda: hbf.HBFModel(**_MODEL, lam=np.inf),
+        lambda: hbf.TrainConfig(omega=np.inf, max_iters=1),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, grad_tol=np.inf),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, grad_tol=np.nan),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, noise_amplitude=np.inf),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, noise_amplitude=np.nan),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=None),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=10.0),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, resolve_every=2.5),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, resolve_every=None),
+        lambda: hbf.HBFModel(**dict(_MODEL, sigma="x")),
+        lambda: hbf.HBFModel(**dict(_MODEL, sigma=10**400)),
     ],
 )
 def test_bare_value_errors_are_typed(call):

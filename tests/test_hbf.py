@@ -39,6 +39,10 @@ from invarkit.suites import _gradient_fd_error
 def _random_instance(seed):
     r = np.random.default_rng(seed)
     n, d, N = int(r.integers(1, 6)), int(r.integers(1, 4)), int(r.integers(2, 21))
+    return _instance(r, N, n, d)
+
+
+def _instance(r, N, n, d):
     model = HBFModel(
         centers=r.standard_normal((n, d)),
         coeffs=r.standard_normal(n),
@@ -329,6 +333,17 @@ class TestTrain:
         with pytest.raises(DivergenceDetected, match="iteration 1"):
             train(bad, data, cfg)
 
+    def test_fixed_centers_skip_the_center_gradient(self, monkeypatch):
+        def unused(*_):
+            raise AssertionError("grad_centers called with the centers frozen")
+
+        model, data = _sin_setup(n=5)
+        monkeypatch.setattr(hbf, "grad_centers", unused)
+        cfg = TrainConfig(omega=1e-3, max_iters=20, grad_tol=1e-14, update_centers=False)
+        got, trace = train(model, data, cfg)
+        assert trace.iterations.size == 20
+        assert np.array_equal(got.centers, model.centers)
+
     def test_trace_csv(self, tmp_path):
         model, data = _sin_setup(n=3)
         _, trace = train(model, data, TrainConfig(omega=1e-4, max_iters=10))
@@ -582,6 +597,41 @@ class TestSharedForward:
         assert trace.converged == converged
         assert np.array_equal(got.centers, ref.centers)
         assert np.array_equal(got.coeffs, ref.coeffs)
+
+
+class TestCenterGradientOrder:
+    """grad_centers sums the examples in the broadcast reference's order.
+
+    At n = 1 and N >= 9 numpy's pairwise summation of a strided column
+    differs from the reference's reduction over axis 0, so a column-by-column
+    sum fails here at the first three shapes.
+    """
+
+    @pytest.mark.parametrize(
+        "N,n,d",
+        [(9, 1, 2), (14, 1, 3), (18, 1, 3), (10, 1, 2), (20, 3, 2), (7, 5, 17),
+         (200, 10, 1), (2000, 40, 2)],
+    )
+    def test_matches_reference_at_shape(self, N, n, d):
+        model, data = _instance(np.random.default_rng(0), N, n, d)
+        assert np.array_equal(grad_centers(model, data), _ref_grad_centers(model, data))
+
+    def test_train_matches_reference_loop_in_two_dimensions(self):
+        r = np.random.default_rng(5)
+        X = r.uniform(-2.0, 2.0, (100, 2))
+        data = TrainingSet(X, np.sin(X[:, 0]) * np.cos(X[:, 1]))
+        centers = init_centers(data, 5, seed=5)
+        start = HBFModel(centers=centers, coeffs=np.zeros(5), sigma=0.8)
+        model = HBFModel(centers=centers, coeffs=solve_coeffs(start, data).coeffs, sigma=0.8)
+        cfg = TrainConfig(omega=1e-3, max_iters=50, grad_tol=1e-14, seed=3, resolve_every=5)
+        got, trace = train(model, data, cfg)
+        ref, objs, gnorms, converged = _ref_train(model, data, cfg)
+        assert trace.iterations.size == 50 and not converged
+        assert np.array_equal(trace.objectives, objs)
+        assert np.array_equal(trace.grad_inf_norms, gnorms)
+        assert np.array_equal(got.centers, ref.centers)
+        assert np.array_equal(got.coeffs, ref.coeffs)
+        assert not np.array_equal(got.centers, model.centers)
 
 
 class TestCapacity:

@@ -59,8 +59,8 @@ def _load_config_file(path: str) -> dict:
     if unknown:
         raise MalformedFile(f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
-        # bool is an int subclass, but true/false is not a count or a seed
-        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+        # the exact type, so that true/false is not taken for an int
+        if type(value) not in _CONFIG_TYPES[key]:
             raise MalformedFile(f"config key {key!r} has a wrong-typed value {value!r}")
     return doc
 

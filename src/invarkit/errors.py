@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its two argument checks."""
+
+import math
+
+import numpy as np
 
 
 class InvarkitError(Exception):
@@ -71,3 +75,28 @@ class MalformedFile(InvarkitError):
 
 class OutputUnwritable(InvarkitError):
     """The requested report path cannot be written."""
+
+
+def _index(name: str, v, lo: int | None = None, error=InvalidArgument) -> int:
+    """v as an int; anything but a Python or numpy integer, or v < lo, raises ``error``."""
+    ok = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    if not ok or (lo is not None and v < lo):
+        bound = "" if lo is None else f" >= {lo}"
+        raise error(f"{name} must be an integer{bound}, not {v!r}")
+    return int(v)
+
+
+def _finite(name: str, v, lo: float | None = None, strict=True, error=InvalidArgument):
+    """Raise ``error`` unless v is a finite real, not bool or array, above lo.
+
+    With strict=False, v may equal lo.
+    """
+    try:
+        ok = not isinstance(v, (bool, np.bool_, np.ndarray)) and math.isfinite(v)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        ok = False
+    if ok and lo is not None:
+        ok = v > lo if strict else v >= lo
+    if not ok:
+        bound = "" if lo is None else f" {'>' if strict else '>='} {lo}"
+        raise error(f"{name} must be a finite real{bound}, not {v!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,30 +20,13 @@ from scipy.spatial.distance import cdist
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
-    InvalidArgument,
     InvalidN,
     SingularSystem,
+    _finite,
+    _index,
 )
 
 _JITTER_FLOOR = 1e-12
-
-
-def _finite(name: str, v) -> None:
-    """Raise InvalidArgument unless v is a finite real number."""
-    try:
-        ok = math.isfinite(v)
-    except (TypeError, OverflowError):  # not a number, or an int beyond float
-        ok = False
-    if not ok:
-        raise InvalidArgument(f"{name} must be a finite real, not {v!r}")
-
-
-def _index(name: str, v) -> None:
-    """Raise InvalidArgument unless v is an integer (as operator.index takes it)."""
-    try:
-        operator.index(v)
-    except TypeError as exc:
-        raise InvalidArgument(f"{name} must be an integer, not {v!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -61,12 +43,8 @@ class HBFModel:
         w = np.asarray(self.coeffs, dtype=float).ravel()
         if c.shape[0] != w.size or c.shape[0] < 1:
             raise DimensionMismatch("one coefficient per center required")
-        _finite("sigma", self.sigma)
-        _finite("lambda", self.lam)
-        if not self.sigma > 0:
-            raise InvalidArgument("sigma must be positive")
-        if self.lam < 0:
-            raise InvalidArgument("lambda must be nonnegative")
+        _finite("sigma", self.sigma, 0.0)
+        _finite("lambda", self.lam, 0.0, strict=False)
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "coeffs", w)
 
@@ -118,18 +96,12 @@ class TrainConfig:
     resolve_every: int = 0
 
     def __post_init__(self):
-        for name in ("omega", "grad_tol", "noise_amplitude"):
-            _finite(name, getattr(self, name))
-        for name in ("max_iters", "resolve_every"):
-            _index(name, getattr(self, name))
-        if not self.omega > 0:
-            raise InvalidArgument("omega must be positive")
-        if self.max_iters < 1:
-            raise InvalidArgument("max_iters must be >= 1")
-        if not self.grad_tol > 0:
-            raise InvalidArgument("grad_tol must be positive")
-        if self.noise_amplitude < 0:
-            raise InvalidArgument("noise_amplitude must be nonnegative")
+        _finite("omega", self.omega, 0.0)
+        _finite("grad_tol", self.grad_tol, 0.0)
+        _finite("noise_amplitude", self.noise_amplitude, 0.0, strict=False)
+        _index("max_iters", self.max_iters, 1)
+        _index("resolve_every", self.resolve_every)
+        _index("seed", self.seed, 0)  # None would seed from OS entropy
 
 
 def radial_basis(r2, sigma: float):
@@ -262,9 +234,9 @@ def init_centers(data: TrainingSet, n: int, seed: int = 0) -> np.ndarray:
     break toward the lowest center index.
     """
     N = data.size
-    if n < 1 or n > N:
+    if not 1 <= _index("n", n, error=InvalidN) <= N:
         raise InvalidN(f"need 1 <= n <= {N}, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_index("seed", seed, 0))
     X = data.inputs
     centers = X[rng.choice(N, size=n, replace=False)].copy()
     for _ in range(50):
@@ -397,8 +369,7 @@ def refine_centers(model: HBFModel, data: TrainingSet, grad_tol: float):
     the last accepted centers. Returns (model, TrainTrace) as `train` does.
     Raises DivergenceDetected when the starting objective is not finite.
     """
-    if not grad_tol > 0:
-        raise InvalidArgument("grad_tol must be positive")
+    _finite("grad_tol", grad_tol, 0.0)
     shape = model.centers.shape
 
     def evaluate(x):
@@ -488,8 +459,9 @@ class CapacityReport:
 
 def check_capacity(N: int, n: int, d: int, threshold: float = 5.0) -> CapacityReport:
     """Examples-per-parameter ratio N / (n + n d); passes at >= threshold."""
-    if N < 1 or n < 1 or d < 1:
-        raise InvalidArgument("N, n, d must all be positive")
+    for name, v in (("N", N), ("n", n), ("d", d)):
+        _index(name, v, 1)
+    _finite("threshold", threshold)
     ratio = N / (n + n * d)
     return CapacityReport(ratio=float(ratio), ok=ratio >= threshold)
 

@@ -11,9 +11,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +21,8 @@ from .errors import (
     KernelAsymmetric,
     OutOfRange,
     WeightsNotNormalized,
+    _finite,
+    _index,
 )
 from .pooling import mex
 from .ramps import step_approx
@@ -52,14 +51,9 @@ class TemplateSampler:
             raise InvalidArgument(f"unknown template law {self.template_law!r}")
         if self.bias_law not in BIAS_LAWS:
             raise InvalidArgument(f"unknown bias law {self.bias_law!r}")
-        # None would seed from OS entropy, and True would pass as 1
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise InvalidArgument(f"seed must be a nonnegative integer, not {seed!r}")
-        r = self.bias_range
-        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not math.isfinite(r):
-            raise InvalidArgument(f"bias_range must be a finite real, not {r!r}")
-        if self.bias_law == "uniform" and not r > 0:
+        _index("seed", self.seed, 0)  # None would seed from OS entropy
+        _finite("bias_range", self.bias_range)
+        if self.bias_law == "uniform" and not self.bias_range > 0:
             raise InvalidArgument("uniform bias law needs bias_range > 0")
 
     def draw(self, d: int, S: int, stream: int = 0):
@@ -69,9 +63,10 @@ class TemplateSampler:
         again for an equal (sampler, d, S, stream), so at most one draw is
         retained in the process.
         """
-        # operator.index keeps a non-integer size an error, not a cache hit
-        index = operator.index
-        return _draw(self, index(d), index(S), index(stream))
+        # checked here, so that a non-integer size is an error, not a cache hit
+        return _draw(
+            self, _index("d", d, 0), _index("S", S, 0), _index("stream", stream, 0)
+        )
 
 
 @functools.lru_cache(maxsize=1)
@@ -100,8 +95,7 @@ class KernelEstimate:
     samples: int
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise InvalidArgument("need at least 2 samples for a standard error")
+        _index("samples", self.samples, 2)  # a standard error needs two
 
 
 def _estimate(products: np.ndarray) -> KernelEstimate:
@@ -130,12 +124,7 @@ def features(
     k~(x, x'), and k0 for ``group=None``. The group average is an exact
     finite sum. Returns an (m, S) array for m signals.
     """
-    try:
-        S = operator.index(S)
-    except TypeError:
-        raise InvalidArgument(f"S must be an integer, not {S!r}") from None
-    if S < 2:
-        raise InvalidArgument("need at least 2 samples for a standard error")
+    S = _index("S", S, 2)  # a standard error needs two samples
     signals = list(signals)
     if not signals:
         raise InvalidArgument("need at least one signal")
@@ -192,8 +181,7 @@ def arccos1_kernel(u: np.ndarray, v: np.ndarray) -> float:
 
 def _check_projections(xs, xs2, p: float):
     """Projections as float arrays, once p > 0 is finite and both lie in [-p, p]."""
-    if not 0 < p < np.inf:
-        raise OutOfRange("p must be positive and finite")
+    _finite("p", p, 0.0, error=OutOfRange)
     xs = np.asarray(xs, dtype=float)
     xs2 = np.asarray(xs2, dtype=float)
     # written as "all inside" so that a NaN projection fails too
@@ -225,8 +213,7 @@ def step_kernel_numeric(
     alpha * (|s|_+ - |s - 1/alpha|_+), and the product integrated on a
     uniform b-grid.
     """
-    if grid_points < 1000:
-        raise InvalidArgument("grid_points must be >= 1000")
+    _index("grid_points", grid_points, 1000)
     _check_projections(xs, xs2, p)
 
     b = np.linspace(-p, p, grid_points)
@@ -248,8 +235,7 @@ def ktilde_step(
     average, of max(<I2, g t>, <I, g' t>).
     """
     _require_signals(I, I2, *templates)
-    if not 0 < p < np.inf:
-        raise OutOfRange("p must be positive and finite")
+    _finite("p", p, 0.0, error=OutOfRange)
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or abs(np.sum(w) - 1.0) > 1e-12:
         raise WeightsNotNormalized("weights must be nonnegative and sum to 1")
@@ -365,7 +351,7 @@ def mex_npsd_scan(
     log-mean-exp similarity matrix over a cyclic group, and checks its
     smallest eigenvalue. Stops at the first eigenvalue below the threshold.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_index("seed", seed, 0))
     worst = np.inf
     for trial in range(max_instances):
         d = int(rng.choice(dims))

@@ -21,6 +21,8 @@ from .errors import (
     InvalidArgument,
     SoftMaxDenominatorZero,
     ZeroSignature,
+    _finite,
+    _index,
 )
 from .signals import FiniteGroup, Signal, apply, cyclic_group
 
@@ -45,10 +47,10 @@ class PoolingSpec:
     def __post_init__(self):
         if self.kind not in POOL_KINDS:
             raise InvalidArgument(f"unknown pooling kind {self.kind!r}")
-        if self.kind == "softmax" and (self.n < 1 or int(self.n) != self.n):
-            raise InvalidArgument("softmax order n must be an integer >= 1")
-        if self.kind == "mex" and not np.isfinite(self.xi):
-            raise InvalidArgument("mex xi must be finite")
+        if self.kind == "softmax":
+            _index("softmax order n", self.n, 1)
+        if self.kind == "mex":
+            _finite("mex xi", self.xi)
 
 
 def mex(values, xi: float) -> float:
@@ -61,6 +63,8 @@ def mex(values, xi: float) -> float:
     mean (|xi| * (max - min) below rounding) and c (xi = +-inf), join it to
     within rounding.
     """
+    if xi != xi:  # NaN; a bare comparison, as mex runs once per pooled row
+        raise InvalidArgument("mex xi must not be NaN")
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise EmptyPool("mex over empty values")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, SingularDesign
+from .errors import InvalidArgument, SingularDesign, _finite, _index
 
 
 def abs_identity(s):
@@ -27,8 +27,7 @@ def step_approx(s, alpha: float):
 
     0 for s <= 0, linear on (0, 1/alpha), 1 beyond.
     """
-    if not alpha > 0:
-        raise InvalidArgument("alpha must be positive")
+    _finite("alpha", alpha, 0.0)
     s = np.asarray(s, dtype=float)
     out = alpha * (np.maximum(s, 0.0) - np.maximum(s - 1.0 / alpha, 0.0))
     return float(out) if out.ndim == 0 else out
@@ -39,8 +38,7 @@ def hat_via_ramps(s, w: float):
 
     (1/w) * (|s+w|_+ - 2|s|_+ + |s-w|_+): zero outside [-w, w], peak 1 at 0.
     """
-    if not w > 0:
-        raise InvalidArgument("half-width w must be positive")
+    _finite("half-width w", w, 0.0)
     s = np.asarray(s, dtype=float)
     out = (
         np.maximum(s + w, 0.0) - 2.0 * np.maximum(s, 0.0) + np.maximum(s - w, 0.0)
@@ -113,12 +111,10 @@ def fit_ramp_combination(target, grid, k: int):
     lo, hi, n_points = grid
     if not (lo < hi):
         raise InvalidArgument("grid must satisfy lo < hi")
-    if k < 1:
-        raise InvalidArgument("k must be >= 1")
-    if n_points < 10 * k:
-        raise InvalidArgument("n_points must be at least 10 k")
+    k = _index("k", k, 1)
+    _index("n_points", n_points, 10 * k)
 
-    s = np.linspace(lo, hi, int(n_points))
+    s = np.linspace(lo, hi, n_points)
     y = np.asarray([target(v) for v in s], dtype=float)
 
     layout = _ramp_basis(k, lo, hi)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, ZeroVector
+from .errors import DimensionMismatch, InvalidArgument, ZeroVector, _index
 
 _NORM_TOL = 1e-12
 
@@ -93,8 +93,7 @@ class Orbit:
 
 def cyclic_group(d: int) -> FiniteGroup:
     """The d circular shifts of coordinates; shift k maps index i to (i+k) mod d."""
-    if d < 1:
-        raise DimensionMismatch("d must be >= 1")
+    _index("d", d, 1, error=DimensionMismatch)
     idx = np.arange(d)
     elements = np.stack([(idx - k) % d for k in range(d)])
     return FiniteGroup(elements=elements, identity_index=0)

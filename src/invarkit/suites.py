@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -20,7 +19,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 import numpy as np
 
 from . import hbf, kernels, pooling, ramps, vq
-from .errors import InvalidConfig, OutputUnwritable
+from .errors import InvalidConfig, OutputUnwritable, _index
 from .signals import apply, cyclic_group, normalize, orbit
 
 SUITES = ("invariance", "kernels", "mex", "ramps", "hbf", "hvq", "all")
@@ -41,20 +40,19 @@ class SuiteConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("seed", "samples", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidConfig(f"{name} must be an integer, not {value!r}")
+        for name, lo in (("seed", 0), ("samples", None), ("workers", 1)):
+            _index(name, getattr(self, name), lo, InvalidConfig)
         if self.suite not in SUITES:
             raise InvalidConfig(f"unknown suite {self.suite!r}")
         if self.fmt not in ("json", "csv"):
             raise InvalidConfig(f"unknown format {self.fmt!r}")
-        if not 0 <= self.seed < 2**64:
+        if not isinstance(self.output_path, (str, type(None))):
+            kind = type(self.output_path).__name__
+            raise InvalidConfig(f"output_path must be a str or None, not {kind}")
+        if self.seed >= 2**64:
             raise InvalidConfig(f"seed {self.seed} is outside [0, 2**64)")
         if self.suite in _MC_SUITES and self.samples < 2:
             raise InvalidConfig("Monte-Carlo suites need samples >= 2")
-        if self.workers < 1:
-            raise InvalidConfig("workers must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -14,6 +15,7 @@ from invarkit.suites import (
     report_to_csv,
     report_to_json,
     run_suite,
+    write_report,
 )
 
 
@@ -111,7 +113,8 @@ class TestSuiteConfigTypes:
     @pytest.mark.parametrize(
         "field,value",
         [("seed", 1.5), ("seed", True), ("seed", "3"), ("samples", 2.5),
-         ("samples", False), ("workers", 1.5), ("workers", True)],
+         ("samples", False), ("workers", 1.5), ("workers", True),
+         ("seed", np.array(3))],
     )
     def test_non_integer_count_rejected(self, field, value):
         with pytest.raises(InvalidConfig):
@@ -124,6 +127,24 @@ class TestSuiteConfigTypes:
     def test_float_seed_fails_before_the_run(self):
         with pytest.raises(InvalidConfig):
             run_suite(SuiteConfig(suite="ramps", seed=1.5))
+
+    @pytest.mark.parametrize("kind", ["fd", "path", "bytes"])
+    def test_output_path_of_wrong_type_rejected(self, tmp_path, kind):
+        target = tmp_path / "report.json"
+        r, w = os.pipe()
+        value = {"fd": w, "path": target, "bytes": os.fsencode(target)}[kind]
+        try:
+            with pytest.raises(InvalidConfig):
+                cfg = SuiteConfig(suite="hvq", output_path=value)
+                write_report(run_suite(cfg), cfg)
+            os.fstat(w)  # the pipe is still open, and nothing went into it
+            os.set_blocking(r, False)
+            with pytest.raises(BlockingIOError):
+                os.read(r, 1)
+        finally:
+            os.close(r)
+            os.close(w)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _reject_constant(name):

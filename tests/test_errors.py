@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from invarkit import hbf, pooling, ramps
+from invarkit import hbf, kernels, pooling, ramps
 from invarkit.errors import InvalidArgument, InvarkitError
 from invarkit.signals import Signal, cyclic_group
 
 _MODEL = dict(centers=[[0.0]], coeffs=[1.0], sigma=1.0)
+_DATA = dict(inputs=[[0.0], [1.0]], targets=[0.0, 1.0])
 _LAYER_JSON = {"dim": 2, "group": "dihedral", "templates": [[1.0, 0.0]], "biases": [0.0]}
 
 
@@ -55,6 +56,35 @@ _LAYER_JSON = {"dim": 2, "group": "dihedral", "templates": [[1.0, 0.0]], "biases
         lambda: hbf.TrainConfig(omega=1.0, max_iters=1, resolve_every=None),
         lambda: hbf.HBFModel(**dict(_MODEL, sigma="x")),
         lambda: hbf.HBFModel(**dict(_MODEL, sigma=10**400)),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=True),
+        lambda: hbf.HBFModel(**dict(_MODEL, sigma=True)),
+        lambda: hbf.HBFModel(**_MODEL, lam=False),
+        lambda: kernels.TemplateSampler().draw(3.0, 10),
+        lambda: kernels.TemplateSampler().draw(3, -1),
+        lambda: pooling.PoolingSpec("softmax", n=np.inf),
+        lambda: pooling.PoolingSpec("softmax", n=2.0),
+        lambda: pooling.PoolingSpec("mex", xi="x"),
+        lambda: hbf.check_capacity(1.5, 2, 3),
+        lambda: hbf.check_capacity(10, 1, 1, threshold=np.nan),
+        lambda: kernels.KernelEstimate(value=0.0, stderr=0.0, samples=2.5),
+        lambda: ramps.step_approx(0.5, np.inf),
+        lambda: ramps.hat_via_ramps(0.5, np.inf),
+        lambda: ramps.fit_ramp_combination(np.sin, (0.0, 1.0, 100), 1.5),
+        lambda: ramps.fit_ramp_combination(np.sin, (0.0, 1.0, 100.5), 2),
+        lambda: kernels.step_kernel_numeric(0.0, 0.0, 1.0, grid_points=1000.5),
+        lambda: hbf.refine_centers(
+            hbf.HBFModel(**_MODEL), hbf.TrainingSet([[0.0]], [1.0]), grad_tol=np.inf
+        ),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, seed=None),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, seed=-1),
+        lambda: hbf.TrainConfig(omega=1.0, max_iters=1, seed=1.5),
+        lambda: hbf.init_centers(hbf.TrainingSet(**_DATA), 1, seed=None),
+        lambda: hbf.init_centers(hbf.TrainingSet(**_DATA), 1, seed=-1),
+        lambda: kernels.mex_npsd_scan(max_instances=1, seed=-1),
+        lambda: kernels.mex_npsd_scan(max_instances=1, seed=1.5),
+        lambda: pooling.mex([1.0, 2.0], np.nan),
+        lambda: kernels.TemplateSampler(seed=np.array(3)),
+        lambda: kernels.TemplateSampler(bias_range=np.array(1.0)),
     ],
 )
 def test_bare_value_errors_are_typed(call):

@@ -256,6 +256,12 @@ class TestInitCenters:
         with pytest.raises(InvalidN):
             init_centers(data, 2, seed=0)
 
+    @pytest.mark.parametrize("n", [1.5, 1.0, True, "1", None])
+    def test_non_integer_n_is_invalid_n(self, n):
+        data = TrainingSet(inputs=[[0.0], [1.0]], targets=[0.0, 1.0])
+        with pytest.raises(InvalidN):
+            init_centers(data, n, seed=0)
+
 
 def _sin_setup(n=10, seed=7):
     X = np.linspace(0, 2 * np.pi, 200)[:, None]

@@ -297,7 +297,7 @@ class TestKtildeStep:
         with pytest.raises(WeightsNotNormalized):
             ktilde_step(t, t, [t], [0.7], G, 1.0)
 
-    @pytest.mark.parametrize("p", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("p", [np.nan, np.inf, 0.0, -1.0, True, "1", None])
     def test_p_outside_zero_to_inf_raises(self, p):
         t = normalize([1.0, 0.0])
         with pytest.raises(OutOfRange):
@@ -621,7 +621,8 @@ class TestArrayStepKernel:
     @pytest.mark.parametrize(
         "xs, xs2, p",
         [(np.nan, 0.5, 1.0), (0.5, np.nan, 1.0), (0.0, 0.0, np.inf),
-         (0.0, 0.0, np.nan), ([0.1, np.nan], 0.0, 1.0), ([0.1, 1.5], 0.0, 1.0)],
+         (0.0, 0.0, np.nan), ([0.1, np.nan], 0.0, 1.0), ([0.1, 1.5], 0.0, 1.0),
+         (0.0, 0.0, True), (0.0, 0.0, "1")],
     )
     def test_nan_projection_or_infinite_p_out_of_range(self, xs, xs2, p):
         with pytest.raises(OutOfRange):

@@ -57,6 +57,11 @@ class TestCyclicGroup:
         c = compose(G.elements[1], G.elements[3])
         np.testing.assert_array_equal(c, G.elements[G.identity_index])
 
+    @pytest.mark.parametrize("d", [1.5, 2.0, True, "3", None])
+    def test_non_integer_d_is_a_dimension_mismatch(self, d):
+        with pytest.raises(DimensionMismatch):
+            cyclic_group(d)
+
 
 class TestApply:
     def test_identity(self):

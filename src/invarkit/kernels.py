@@ -353,7 +353,7 @@ def mex_npsd_scan(
     """
     rng = np.random.default_rng(_index("seed", seed, 0))
     worst = np.inf
-    for trial in range(max_instances):
+    for trial in range(_index("max_instances", max_instances, 1)):
         d = int(rng.choice(dims))
         xi = float(rng.choice(xis))
         G = cyclic_group(d)

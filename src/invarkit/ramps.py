@@ -58,7 +58,9 @@ class RampCombination:
         object.__setattr__(
             self,
             "units",
-            tuple((float(c), float(b), int(sg)) for c, b, sg in self.units),
+            tuple(
+                (float(c), float(b), _index("unit sign", sg)) for c, b, sg in self.units
+            ),
         )
 
     def __call__(self, s):
@@ -109,6 +111,8 @@ def fit_ramp_combination(target, grid, k: int):
     fitted combination and the sup deviation on the grid.
     """
     lo, hi, n_points = grid
+    _finite("grid lo", lo)
+    _finite("grid hi", hi)
     if not (lo < hi):
         raise InvalidArgument("grid must satisfy lo < hi")
     k = _index("k", k, 1)

@@ -92,3 +92,47 @@ def test_bare_value_errors_are_typed(call):
         call()
     # a ValueError still, so callers that catch ValueError keep working
     assert isinstance(err.value, InvalidArgument) and isinstance(err.value, ValueError)
+
+
+_SOFTMAX_LAYER_JSON = {
+    "dim": 4,
+    "group": "cyclic",
+    "templates": [[1.0, 0.0, 0.0, 0.0]],
+    "biases": [0.0],
+    "pooling": {"kind": "softmax", "n": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pooling.mex([1.0, 2.0], "x"),
+        lambda: pooling.mex([1.0, 2.0], None),
+        lambda: pooling.mex([1.0, 2.0], True),
+        lambda: pooling.mex([[1.0, 2.0], [3.0, 4.0]], np.array([1.0, 2.0])),
+        lambda: kernels.mex_npsd_scan(max_instances=1.5),
+        lambda: kernels.mex_npsd_scan(max_instances=0),
+        lambda: pooling.layer_from_json(json.dumps(dict(_SOFTMAX_LAYER_JSON, dim=4.7))),
+        lambda: pooling.layer_from_json(
+            json.dumps(dict(_SOFTMAX_LAYER_JSON, pooling={"kind": "softmax", "n": 2.5}))
+        ),
+        lambda: ramps.RampCombination(units=((1.0, 0.0, 2.5),)),
+    ],
+)
+def test_untyped_and_truncated_arguments_raise_invalid_argument(call):
+    with pytest.raises(InvalidArgument):
+        call()
+
+
+def test_layer_json_with_integer_fields_still_loads():
+    layer = pooling.layer_from_json(json.dumps(_SOFTMAX_LAYER_JSON))
+    assert layer.input_dim == 4 and layer.pooling.n == 2
+
+
+@pytest.mark.parametrize(
+    "grid", [(-np.inf, 0.0, 100), (0.0, np.inf, 100), (np.nan, 1.0, 100), (0.0, "1", 100)]
+)
+def test_ramp_fit_refuses_a_non_finite_grid_bound_quietly(grid, capfd):
+    with pytest.raises(InvalidArgument):
+        ramps.fit_ramp_combination(np.sin, grid, 2)
+    assert capfd.readouterr().err == ""

@@ -448,3 +448,173 @@ class TestLayerJson:
             layer_forward(x, restored), layer_forward(x, layer)
         )
         assert restored.pooling == layer.pooling
+
+
+# ---------------------------------------------------------------------------
+# Block inputs: pooling over the last axis, forwards over (m, d) blocks
+
+
+def _mixed_rows(n=16):
+    """Ordinary rows next to each kind of row that mex handles on its own."""
+    rng = np.random.default_rng(7)
+    tail = rng.standard_normal(n - 1)
+    ulp = np.spacing(0.1)
+    return np.array(
+        [
+            rng.standard_normal(n),
+            np.maximum(rng.standard_normal(n), 0.0),  # rectified: ties at 0
+            [50.0, *np.linspace(-50, -20, n - 1)],  # m <= -1/2 at xi = +-2
+            [-50.0, *np.linspace(20, 50, n - 1)],
+            np.full(n, 0.3),  # flat
+            0.1 + ulp * (np.arange(n) % 3),  # flat to rounding at |xi| = 2
+            [np.inf, *tail],
+            [-np.inf, *tail],
+            np.full(n, np.inf),
+            np.full(n, -np.inf),
+            [np.nan, *tail],
+            rng.uniform(0.0, 1.0, n),
+        ]
+    )
+
+
+_BLOCK_SPECS = [
+    PoolingSpec("sum"),
+    PoolingSpec("max"),
+    PoolingSpec("mean"),
+    PoolingSpec("softmax", n=3),
+    PoolingSpec("mex", xi=2.0),
+    PoolingSpec("mex", xi=-2.0),
+]
+
+
+class TestBlockPooling:
+    @pytest.mark.parametrize("xi", [0.0, np.inf, -np.inf, 2.0, -2.0])
+    def test_mex_rows_do_not_depend_on_the_block(self, xi):
+        V = _mixed_rows()
+        with np.errstate(all="ignore"):
+            block = mex(V, xi)
+            rows = [mex(v, xi) for v in V]
+            stacked = mex(V.reshape(2, -1, V.shape[1]), xi)
+        assert block.shape == (len(V),)
+        assert all(type(r) is float for r in rows)
+        np.testing.assert_array_equal(block, rows)
+        np.testing.assert_array_equal(stacked.ravel(), rows)
+
+    @pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=lambda s: f"{s.kind}{s.xi or ''}")
+    def test_pool_rows_do_not_depend_on_the_block(self, spec):
+        V = _mixed_rows()
+        with np.errstate(all="ignore"):
+            block = pool(V, spec)
+            rows = [pool(v, spec) for v in V]
+        assert all(type(r) is float for r in rows)
+        np.testing.assert_array_equal(block, rows)
+
+    def test_block_rows_are_within_4_eps_of_exact(self):
+        rng = np.random.default_rng(11)
+        V = np.maximum(rng.normal(0.1, 0.3, (40, 33)), 0.0)
+        for xi in (-3.0, 0.5, 2.0, 40.0):
+            for v, got in zip(V, mex(V, xi)):
+                assert abs(got - _mex_exact(list(v), xi)) <= 4 * _scale(v)
+
+    def test_empty_rows_raise(self):
+        with pytest.raises(EmptyPool):
+            mex(np.empty((3, 0)), 1.0)
+        with pytest.raises(EmptyPool):
+            pool(np.empty((3, 0)), PoolingSpec("max"))
+
+
+def _block_layer(spec, raw=False, d=12, seed=0):
+    rng = np.random.default_rng(seed)
+    return HWLayer(
+        templates=tuple(normalize(rng.standard_normal(d)) for _ in range(3)),
+        biases=(-0.3, 0.0, 0.1, 0.4),
+        group=cyclic_group(d),
+        pooling=spec,
+        softmax_raw=raw,
+    )
+
+
+def _invariance_gap_reference(x, layer):
+    """One forward for x and one more for each g x, each a separate signal."""
+    base = layer_forward(x, layer)
+    return max(
+        float(np.max(np.abs(layer_forward(apply(g, x), layer) - base)))
+        for g in layer.group
+    )
+
+
+class TestBlockForward:
+    @pytest.mark.parametrize(
+        "spec, raw",
+        [(s, False) for s in _BLOCK_SPECS] + [(PoolingSpec("softmax", n=2), True)],
+        ids=lambda p: getattr(p, "kind", "raw" if p else "rect"),
+    )
+    def test_block_rows_equal_single_forwards(self, spec, raw):
+        layer = _block_layer(spec, raw)
+        rng = np.random.default_rng(1)
+        unit = normalize(rng.standard_normal(12)).values
+        X = np.vstack([rng.standard_normal((4, 12)), unit])
+        out = layer_forward(X, layer)
+        assert out.shape == (5, layer.output_dim)
+        for x, row in zip(X, out):
+            np.testing.assert_allclose(row, layer_forward(x, layer), rtol=0, atol=1e-13)
+
+    def test_wide_block_rows_equal_single_forwards(self):
+        layer = _block_layer(PoolingSpec("mex", xi=2.0), d=128)
+        X = np.random.default_rng(2).standard_normal((9, 128)) / np.sqrt(128)
+        for x, row in zip(X, layer_forward(X, layer)):
+            np.testing.assert_allclose(row, layer_forward(x, layer), rtol=0, atol=1e-13)
+
+    def test_block_dimension_mismatch(self):
+        layer = _block_layer(PoolingSpec("sum"))
+        for bad in (np.zeros((3, 11)), np.zeros((2, 3, 12)), np.zeros(11)):
+            with pytest.raises(DimensionMismatch):
+                layer_forward(bad, layer)
+
+    @pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=lambda s: f"{s.kind}{s.xi or ''}")
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_invariance_gap_matches_one_forward_per_shift(self, spec, d):
+        x = normalize(np.random.default_rng(100 + d).standard_normal(d))
+        full = _block_layer(spec, d=d, seed=d)
+        # two of the d >= 3 shifts are not a group: their gap is of order one
+        two = FiniteGroup(full.group.elements[:2])
+        part = HWLayer(full.templates, full.biases, two, spec)
+        for layer in (full, part):
+            gap = invariance_gap(x, layer)
+            assert abs(gap - _invariance_gap_reference(x, layer)) <= 1e-15
+        assert invariance_gap(x, part) > 1e-3
+
+    def test_invariance_gap_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            invariance_gap(normalize([1.0, 0.0, 0.0]), _block_layer(PoolingSpec("sum")))
+
+
+class TestBlockNetwork:
+    def _net(self):
+        first = HWLayer(
+            templates=(normalize([1.0, 0.0]),),
+            biases=(-0.5, -0.7),
+            group=FiniteGroup(np.arange(2)[None]),
+            pooling=PoolingSpec("sum"),
+        )
+        second = HWLayer(
+            templates=(normalize([0.6, 0.8]),),
+            biases=(0.1,),
+            group=cyclic_group(2),
+            pooling=PoolingSpec("mex", xi=2.0),
+        )
+        return HWNetwork(layers=(first, second))
+
+    def test_block_rows_equal_single_forwards(self):
+        net = self._net()
+        X = np.array([[1.0, 0.0], [0.8, 0.6], [0.9, -0.1]])
+        out = network_forward(X, net)
+        assert out.shape == (3, 1)
+        for x, row in zip(X, out):
+            np.testing.assert_allclose(row, network_forward(x, net), rtol=0, atol=1e-13)
+
+    def test_one_zero_row_raises(self):
+        # <x, (1, 0)> = 0 rectifies to zero at both biases
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.8, 0.6]])
+        with pytest.raises(ZeroSignature):
+            network_forward(X, self._net())

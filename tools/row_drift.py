@@ -8,8 +8,9 @@ For every seed and for workers 1 and 2, each tree runs
 Python process, with BLAS pinned to one thread; the two trees run side by
 side. A row differs when its status or the hex form of its value differs,
 or when it is present in one report only. Every differing row is printed
-with both values and their absolute difference. Exit status is 1 if any
-row differs and 0 otherwise.
+with both values and their absolute difference, then one line per check
+id that moved: its rows moved, their largest absolute difference and its
+status changes. Exit status is 1 if any row differs and 0 otherwise.
 
 Example, against the parent commit:
 
@@ -94,6 +95,7 @@ def main(argv=None) -> int:
     base, new = (_rows(proc, tree) for tree, proc in procs)
     missing = ("absent", None)
     differing = 0
+    moved = {}  # check id -> [rows moved, max |diff|, status changes]
     for key in sorted(base.keys() | new.keys()):
         (s0, v0), (s1, v1) = base.get(key, missing), new.get(key, missing)
         if (s0, v0) == (s1, v1):
@@ -102,6 +104,13 @@ def main(argv=None) -> int:
         diff = abs(float.fromhex(v1) - float.fromhex(v0)) if v0 and v1 else float("nan")
         seed, w, check_id = key
         print(f"seed={seed} workers={w} {check_id}: {s0} {v0} -> {s1} {v1} |diff|={diff:.3g}")
+        tally = moved.setdefault(check_id, [0, 0.0, 0])
+        tally[0] += 1
+        tally[1] = max(tally[1], diff)  # an absent row (NaN) counts as a status change
+        tally[2] += s0 != s1
+    for check_id, (rows, worst, changes) in sorted(moved.items()):
+        print(f"{check_id}: {rows} rows moved, max |diff| {worst:.3g}, "
+              f"{changes} status changes")
     print(f"{differing} of {len(base.keys() | new.keys())} rows differ")
     return 1 if differing else 0
 

@@ -20,6 +20,7 @@ from scipy.spatial.distance import cdist
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
+    InvalidArgument,
     InvalidN,
     SingularSystem,
     _finite,
@@ -67,6 +68,8 @@ class TrainingSet:
         y = np.asarray(self.targets, dtype=float).ravel()
         if x.shape[0] != y.size or x.shape[0] < 1:
             raise DimensionMismatch("one target per input required")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InvalidArgument("inputs and targets must be finite")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
 

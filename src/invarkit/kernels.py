@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     KernelAsymmetric,
     OutOfRange,
     WeightsNotNormalized,
+    ZeroVector,
     _finite,
     _index,
 )
@@ -61,7 +63,8 @@ class TemplateSampler:
 
         The arrays are read-only. The most recent draw is kept and returned
         again for an equal (sampler, d, S, stream), so at most one draw is
-        retained in the process.
+        retained in the process, together with at most ``_ROWS_MAX_BYTES`` of
+        the feature rows that ``k0_mc`` and ``ktilde_mc`` computed from it.
         """
         # checked here, so that a non-integer size is an error, not a cache hit
         return _draw(
@@ -69,8 +72,43 @@ class TemplateSampler:
         )
 
 
+class _RowMemo:
+    """Feature rows of one draw, keyed by content, at most max_bytes of them.
+
+    Readers take no lock: ``reset`` swaps in a new dict, ``put`` only adds.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.lock = threading.Lock()
+        self.reset(None)
+
+    def reset(self, draw):
+        with self.lock:
+            self.draw, self.rows, self.nbytes = draw, {}, 0
+
+    def put(self, key, row: np.ndarray) -> None:
+        """Keep a copy of row under key = (*draw, group, signal) if it fits.
+
+        A row of any draw but this memo's is dropped.
+        """
+        size = row.nbytes + len(key[-1]) + len(key[-2] or b"")
+        with self.lock:
+            if key[:4] != self.draw or key in self.rows:
+                return
+            if self.nbytes + size <= self.max_bytes:
+                self.rows[key] = row.copy()
+                self.nbytes += size
+
+
+# 8 MiB holds a 50-point Gram's rows at S = 20000.
+_ROWS_MAX_BYTES = 8 << 20
+_rows = _RowMemo(_ROWS_MAX_BYTES)
+
+
 @functools.lru_cache(maxsize=1)
 def _draw(sampler: TemplateSampler, d: int, S: int, stream: int):
+    _rows.reset((sampler, d, S, stream))  # a new draw drops the old rows
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=sampler.seed, spawn_key=(stream,))
     )
@@ -114,6 +152,18 @@ def _require_signals(*xs) -> None:
             raise InvalidArgument(f"expected a Signal, not {type(x).__name__}")
 
 
+def _feature_args(signals: list, S, group: FiniteGroup | None) -> tuple[int, int]:
+    """S and the signal dimension d, once the arguments of ``features`` pass."""
+    S = _index("S", S, 2)  # a standard error needs two samples
+    if not signals:
+        raise InvalidArgument("need at least one signal")
+    _require_signals(*signals)
+    d = signals[0].dim
+    if any(x.dim != d for x in signals) or (group is not None and group.dim != d):
+        raise DimensionMismatch("signal/group dimensions differ")
+    return S, d
+
+
 def features(
     signals, sampler: TemplateSampler, S: int, group: FiniteGroup | None = None
 ) -> np.ndarray:
@@ -124,14 +174,8 @@ def features(
     k~(x, x'), and k0 for ``group=None``. The group average is an exact
     finite sum. Returns an (m, S) array for m signals.
     """
-    S = _index("S", S, 2)  # a standard error needs two samples
     signals = list(signals)
-    if not signals:
-        raise InvalidArgument("need at least one signal")
-    _require_signals(*signals)
-    d = signals[0].dim
-    if any(x.dim != d for x in signals) or (group is not None and group.dim != d):
-        raise DimensionMismatch("signal/group dimensions differ")
+    S, d = _feature_args(signals, S, group)
     T, b = sampler.draw(d, S)
     X = np.stack([x.values for x in signals])
     # <g t, x> = <t, g^{-1} x>; summing over all g covers all inverses.
@@ -144,10 +188,33 @@ def features(
     return R.reshape(len(X), -1, S).mean(axis=1)
 
 
-def k0_mc(x: Signal, x2: Signal, sampler: TemplateSampler, S: int) -> KernelEstimate:
-    """Base kernel estimate: mean over draws of |<t,x>+b|_+ |<t,x'>+b|_+."""
-    u, v = features((x, x2), sampler, S)
+def _pair_estimate(x, x2, sampler, S, group) -> KernelEstimate:
+    """Mean of Phi(x) * Phi(x2), with rows of the retained draw reused.
+
+    A row is only ever computed with its pair, as ``features((x, x2), ...)``
+    gives it: a one-row block takes another BLAS path and rounds otherwise.
+    """
+    S, d = _feature_args([x, x2], S, group)
+    draw = (sampler, d, S, 0)
+    g = None if group is None else group.elements.tobytes()
+    keys = [(*draw, g, v.values.tobytes()) for v in (x, x2)]
+    u, v = (_rows.rows.get(k) for k in keys)
+    if u is None or v is None:
+        u, v = features((x, x2), sampler, S, group)
+        for key, row in zip(keys, (u, v)):
+            _rows.put(key, row)
+    else:
+        sampler.draw(d, S)  # one draw per call either way; it stays retained
     return _estimate(u * v)
+
+
+def k0_mc(x: Signal, x2: Signal, sampler: TemplateSampler, S: int) -> KernelEstimate:
+    """Base kernel estimate: mean over draws of |<t,x>+b|_+ |<t,x'>+b|_+.
+
+    The rows Phi(x) and Phi(x2) of ``features`` are kept, while their draw
+    is the retained one, for later calls on the same signals.
+    """
+    return _pair_estimate(x, x2, sampler, S, None)
 
 
 def ktilde_mc(
@@ -160,10 +227,10 @@ def ktilde_mc(
     """Group-averaged kernel estimate.
 
     The double group sum factorizes per sample into the product of two
-    single group averages; only the (t, b) draw is Monte-Carlo.
+    single group averages; only the (t, b) draw is Monte-Carlo. Rows are
+    kept for later calls as in ``k0_mc``.
     """
-    u, v = features((x, x2), sampler, S, G)
-    return _estimate(u * v)
+    return _pair_estimate(x, x2, sampler, S, G)
 
 
 def arccos1_kernel(u: np.ndarray, v: np.ndarray) -> float:
@@ -173,7 +240,11 @@ def arccos1_kernel(u: np.ndarray, v: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if not np.isfinite(nu * nv):  # a NaN or inf entry, or norms that overflow
+        raise InvalidArgument("arccos1_kernel needs finite vectors")
+    if nu == 0.0 or nv == 0.0:
+        raise ZeroVector("arccos1_kernel is undefined for a zero vector")
     c = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
     th = np.arccos(c)
     return float(nu * nv * (np.sin(th) + (np.pi - th) * np.cos(th)) / (2 * np.pi))

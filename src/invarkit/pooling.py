@@ -173,7 +173,10 @@ class HWLayer:
 
     def __post_init__(self):
         object.__setattr__(self, "templates", tuple(self.templates))
-        object.__setattr__(self, "biases", tuple(float(b) for b in self.biases))
+        biases = tuple(self.biases)
+        for b in biases:
+            _finite("bias", b)
+        object.__setattr__(self, "biases", tuple(map(float, biases)))
         if not self.templates or not self.biases:
             raise InvalidArgument("layer needs at least one template and one bias")
         for t in self.templates:
@@ -294,10 +297,12 @@ def layer_from_json(text: str) -> HWLayer:
         raise InvalidArgument(f"unsupported group {doc.get('group')!r}")
     d = _index("dim", doc["dim"], 1)
     p = doc.get("pooling", {})
+    xi = p.get("xi", 0.0)
+    _finite("mex xi", xi)
     spec = PoolingSpec(
         kind=p.get("kind", "sum"),
         n=_index("softmax order n", p.get("n", 1), 1),
-        xi=float(p.get("xi", 0.0)),
+        xi=float(xi),
     )
     return HWLayer(
         templates=tuple(Signal(np.asarray(t, dtype=float)) for t in doc["templates"]),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from invarkit import hbf, kernels, pooling, ramps
-from invarkit.errors import InvalidArgument, InvarkitError
+from invarkit.errors import InvalidArgument, InvarkitError, ZeroVector
 from invarkit.signals import Signal, cyclic_group
 
 _MODEL = dict(centers=[[0.0]], coeffs=[1.0], sigma=1.0)
@@ -136,3 +136,36 @@ def test_ramp_fit_refuses_a_non_finite_grid_bound_quietly(grid, capfd):
     with pytest.raises(InvalidArgument):
         ramps.fit_ramp_combination(np.sin, grid, 2)
     assert capfd.readouterr().err == ""
+
+
+_MEX_LAYER_JSON = dict(_SOFTMAX_LAYER_JSON, pooling={"kind": "mex", "xi": "x"})
+_TEMPLATE = Signal(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: pooling.layer_from_json(json.dumps(_MEX_LAYER_JSON)), InvalidArgument),
+        (
+            lambda: pooling.HWLayer(
+                (_TEMPLATE,), (0.0, np.nan), cyclic_group(2), pooling.PoolingSpec("max")
+            ),
+            InvalidArgument,
+        ),
+        (
+            lambda: pooling.HWLayer(
+                (_TEMPLATE,), (np.inf,), cyclic_group(2), pooling.PoolingSpec("sum")
+            ),
+            InvalidArgument,
+        ),
+        (lambda: hbf.TrainingSet([[0.0], [np.nan]], [0.0, 1.0]), InvalidArgument),
+        (lambda: hbf.TrainingSet([[0.0], [1.0]], [np.inf, 1.0]), InvalidArgument),
+        (lambda: kernels.arccos1_kernel(np.zeros(3), np.ones(3)), ZeroVector),
+        (lambda: kernels.arccos1_kernel(np.ones(3), np.zeros(3)), ZeroVector),
+        (lambda: kernels.arccos1_kernel([np.nan, 1.0, 0.0], np.ones(3)), InvalidArgument),
+        (lambda: kernels.arccos1_kernel(np.ones(3), [np.inf, 0.0, 0.0]), InvalidArgument),
+    ],
+)
+def test_non_finite_and_zero_inputs_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from invarkit import kernels
 from invarkit.errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -36,6 +37,7 @@ from invarkit.kernels import (
 from invarkit.signals import (
     FiniteGroup,
     Orbit,
+    Signal,
     apply,
     cyclic_group,
     normalize,
@@ -874,3 +876,140 @@ class TestKernelArgumentErrors:
         x = normalize([0.6, 0.8])
         with pytest.raises(InvalidArgument, match="ndarray"):
             call(x, x.values.copy(), cyclic_group(2), TemplateSampler(seed=0))
+
+
+@pytest.fixture
+def feature_calls(monkeypatch):
+    calls = []
+    real = kernels.features
+
+    def counted(signals, *args):
+        calls.append(len(signals))
+        return real(signals, *args)
+
+    monkeypatch.setattr(kernels, "features", counted)
+    return calls
+
+
+def _new_draw():
+    """Make some other draw the retained one, so the memo starts empty."""
+    TemplateSampler(seed=999).draw(1, 2)
+
+
+class TestRowMemo:
+    def test_repeat_pairs_compute_no_rows(self, feature_calls):
+        rng = np.random.default_rng(80)
+        x, y = _unit(rng, 4), _unit(rng, 4)
+        s, G = TemplateSampler(seed=8), cyclic_group(4)
+        _new_draw()
+        first = [k0_mc(x, y, s, 50), ktilde_mc(x, y, G, s, 50)]
+        assert feature_calls == [2, 2]
+        again = [k0_mc(y, x, s, 50), ktilde_mc(x, y, G, s, 50), k0_mc(x, x, s, 50)]
+        assert feature_calls == [2, 2]
+        assert again[0] == _estimate(np.prod(features((y, x), s, 50), axis=0))
+        assert again[1] == first[1]
+
+    def test_equal_content_shares_rows_and_another_group_does_not(self, feature_calls):
+        rng = np.random.default_rng(81)
+        x, y = _unit(rng, 4), _unit(rng, 4)
+        s = TemplateSampler(seed=8)
+        _new_draw()
+        ktilde_mc(x, y, cyclic_group(4), s, 50)
+        x_copy, y_copy = Signal(x.values.copy()), Signal(y.values.copy())
+        ktilde_mc(x_copy, y_copy, cyclic_group(4), TemplateSampler(seed=8), 50)
+        assert feature_calls == [2]
+        identity = FiniteGroup(np.arange(4)[None])
+        est = ktilde_mc(x, y, identity, s, 50)
+        assert feature_calls == [2, 2]
+        assert est == _estimate(np.prod(features((x, y), s, 50, identity), axis=0))
+
+    def test_new_draw_drops_the_rows(self, feature_calls):
+        rng = np.random.default_rng(82)
+        x, y = _unit(rng, 3), _unit(rng, 3)
+        s = TemplateSampler(seed=8)
+        _new_draw()
+        k0_mc(x, y, s, 40)
+        TemplateSampler(seed=9).draw(3, 40)
+        assert kernels._rows.rows == {}
+        k0_mc(x, y, s, 40)
+        assert feature_calls == [2, 2]
+
+    def test_pair_with_one_cached_row_is_computed_as_a_pair(self, feature_calls):
+        rng = np.random.default_rng(83)
+        x, y, z = (_unit(rng, 5) for _ in range(3))
+        s = TemplateSampler(seed=8)
+        _new_draw()
+        k0_mc(x, y, s, 60)
+        est = k0_mc(x, z, s, 60)
+        assert feature_calls == [2, 2]
+        assert est == _estimate(np.prod(features((x, z), s, 60), axis=0))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            lambda x, y, G: (x, y, None, 50.0),  # S is not an integer
+            lambda x, y, G: (x, y, G, 50.0),
+            lambda x, y, G: (x, y.values, None, 50),  # not a Signal
+            lambda x, y, G: (x.values, y, G, 50),
+            lambda x, y, G: (x, normalize([1.0, 1.0]), None, 50),  # d differs
+            lambda x, y, G: (x, y, cyclic_group(3), 50),  # group d differs
+        ],
+    )
+    def test_cached_rows_do_not_skip_argument_checks(self, args, feature_calls):
+        rng = np.random.default_rng(84)
+        x, y = _unit(rng, 4), _unit(rng, 4)
+        s, G = TemplateSampler(seed=8), cyclic_group(4)
+        _new_draw()
+        for _ in range(2):
+            k0_mc(x, y, s, 50)
+            ktilde_mc(x, y, G, s, 50)
+        assert len(feature_calls) == 2  # the second round found both pairs
+        a, b, group, S = args(x, y, G)
+        with pytest.raises(InvarkitError) as expected:
+            features([a, b], s, S, group)
+        with pytest.raises(type(expected.value)):
+            k0_mc(a, b, s, S) if group is None else ktilde_mc(a, b, group, s, S)
+
+    def test_retained_bytes_stay_under_the_cap(self):
+        rng = np.random.default_rng(85)
+        xs = [_unit(rng, 2) for _ in range(12)]
+        s, S = TemplateSampler(seed=8), 2**17  # 1 MiB per row
+        for a, b in zip(xs, xs[1:]):
+            est = k0_mc(a, b, s, S)
+            assert est == _estimate(np.prod(features((a, b), s, S), axis=0))
+        memo = kernels._rows
+        kept = sum(r.nbytes for r in memo.rows.values())
+        assert 0 < kept <= memo.nbytes <= kernels._ROWS_MAX_BYTES
+        assert len(memo.rows) < len(xs)
+
+    def test_two_threads_with_different_samplers_match_serial_grams(self):
+        rng = np.random.default_rng(86)
+        pts = [_unit(rng, 4) for _ in range(5)]
+        G, s1, s2 = cyclic_group(4), TemplateSampler(seed=1), TemplateSampler(seed=2)
+        jobs = [
+            lambda: gram(pts, lambda a, b: ktilde_mc(a, b, G, s1, 64).value),
+            lambda: gram(pts, lambda a, b: k0_mc(a, b, s2, 64).value),
+        ]
+        expected = [job().matrix for job in jobs]
+        failures = []
+
+        def worker(i):
+            for _ in range(10):
+                if not np.array_equal(jobs[i]().matrix, expected[i]):
+                    failures.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        memo = kernels._rows
+        sizes = [r.nbytes + len(k[-1]) + len(k[-2] or b"") for k, r in memo.rows.items()]
+        assert memo.nbytes == sum(sizes)  # no insert lost its byte count

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import mmap
 import threading
 from dataclasses import dataclass
 
@@ -72,20 +73,30 @@ class TemplateSampler:
         )
 
 
+# Windows has neither fork nor the flag; its anonymous maps are private.
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
 class _RowMemo:
     """Feature rows of one draw, keyed by content, at most max_bytes of them.
 
-    Readers take no lock: ``reset`` swaps in a new dict, ``put`` only adds.
+    The rows live in one buffer, allocated once and refilled from its start
+    after each new draw, so keeping a row allocates no memory. A new draw
+    overwrites them, so they are read and written only under the lock.
     """
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.lock = threading.Lock()
+        # An anonymous map, not np.empty: numpy asks for 2 MiB huge pages at
+        # this size, while a page of the map takes memory once it is written.
+        # It is private, so that a forked process writes to its own copy.
+        self.buffer = np.frombuffer(mmap.mmap(-1, max_bytes // 8 * 8, **_PRIVATE))
         self.reset(None)
 
     def reset(self, draw):
         with self.lock:
-            self.draw, self.rows, self.nbytes = draw, {}, 0
+            self.draw, self.rows, self.nbytes, self.used = draw, {}, 0, 0
 
     def put(self, key, row: np.ndarray) -> None:
         """Keep a copy of row under key = (*draw, group, signal) if it fits.
@@ -97,8 +108,17 @@ class _RowMemo:
             if key[:4] != self.draw or key in self.rows:
                 return
             if self.nbytes + size <= self.max_bytes:
-                self.rows[key] = row.copy()
+                kept = self.buffer[self.used : self.used + row.size]
+                kept[:] = row
+                self.rows[key] = kept
+                self.used += row.size
                 self.nbytes += size
+
+    def product(self, keys) -> np.ndarray | None:
+        """The product of the rows kept under both keys; None if one is missing."""
+        with self.lock:
+            u, v = (self.rows.get(k) for k in keys)
+            return None if u is None or v is None else u * v
 
 
 # 8 MiB holds a 50-point Gram's rows at S = 20000.
@@ -198,14 +218,15 @@ def _pair_estimate(x, x2, sampler, S, group) -> KernelEstimate:
     draw = (sampler, d, S, 0)
     g = None if group is None else group.elements.tobytes()
     keys = [(*draw, g, v.values.tobytes()) for v in (x, x2)]
-    u, v = (_rows.rows.get(k) for k in keys)
-    if u is None or v is None:
+    products = _rows.product(keys)
+    if products is None:
         u, v = features((x, x2), sampler, S, group)
         for key, row in zip(keys, (u, v)):
             _rows.put(key, row)
+        products = u * v
     else:
         sampler.draw(d, S)  # one draw per call either way; it stays retained
-    return _estimate(u * v)
+    return _estimate(products)
 
 
 def k0_mc(x: Signal, x2: Signal, sampler: TemplateSampler, S: int) -> KernelEstimate:

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import threading
 from types import SimpleNamespace
@@ -981,6 +982,47 @@ class TestRowMemo:
         kept = sum(r.nbytes for r in memo.rows.values())
         assert 0 < kept <= memo.nbytes <= kernels._ROWS_MAX_BYTES
         assert len(memo.rows) < len(xs)
+
+    def test_each_draw_keeps_its_rows_from_the_start_of_one_buffer(self):
+        rng = np.random.default_rng(87)
+        x, y, z = (_unit(rng, 3) for _ in range(3))
+        memo = kernels._rows
+        _new_draw()
+        for seed in (8, 9):
+            s = TemplateSampler(seed=seed)
+            k0_mc(x, y, s, 40)
+            est = k0_mc(y, z, s, 40)
+            assert est == _estimate(np.prod(features((y, z), s, 40), axis=0))
+            kept = list(memo.rows.values())
+            assert len(kept) == 3 and memo.used == 3 * 40
+            assert all(np.shares_memory(r, memo.buffer) for r in kept)
+            assert np.shares_memory(kept[0], memo.buffer[:40])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_process_writes_to_its_own_buffer(self):
+        buffer = kernels._rows.buffer
+        before = buffer[:4].copy()
+        pid = os.fork()
+        if pid == 0:
+            buffer[:4] = before + 1.0
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert np.array_equal(buffer[:4], before)
+
+    def test_kept_rows_are_read_under_the_lock(self):
+        rng = np.random.default_rng(88)
+        x, y = _unit(rng, 3), _unit(rng, 3)
+        s = TemplateSampler(seed=8)
+        _new_draw()
+        first = k0_mc(x, y, s, 40)
+        out = []
+        reader = threading.Thread(target=lambda: out.append(k0_mc(x, y, s, 40)))
+        with kernels._rows.lock:  # what a new draw holds while it overwrites rows
+            reader.start()
+            reader.join(timeout=0.05)
+            assert reader.is_alive() and out == []
+        reader.join(timeout=60)
+        assert out == [first]
 
     def test_two_threads_with_different_samplers_match_serial_grams(self):
         rng = np.random.default_rng(86)

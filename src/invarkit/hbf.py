@@ -108,13 +108,17 @@ class TrainConfig:
 
 
 def radial_basis(r2, sigma: float):
-    """Gaussian radial profile G(r^2) = exp(-r^2 / (2 sigma^2))."""
-    return np.exp(-np.asarray(r2, dtype=float) / (2.0 * sigma**2))
+    """Gaussian radial profile G(r^2) = exp(-r^2 / (2 sigma^2)).
+
+    The sign rides on the divisor, which saves a negation pass over r2 and
+    gives the same bits, as IEEE division is sign-symmetric.
+    """
+    return np.exp(np.asarray(r2, dtype=float) / (-2.0 * sigma**2))
 
 
 def radial_basis_deriv(r2, sigma: float):
-    """dG/d(r^2) = -G(r^2) / (2 sigma^2)."""
-    return -radial_basis(r2, sigma) / (2.0 * sigma**2)
+    """dG/d(r^2) = -G(r^2) / (2 sigma^2), as G(r^2) / (-2 sigma^2)."""
+    return radial_basis(r2, sigma) / (-2.0 * sigma**2)
 
 
 def _design(model: HBFModel, X: np.ndarray) -> np.ndarray:
@@ -311,10 +315,10 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
         gc = -2.0 * (Phi.T @ delta)
         parts = []
         if config.update_coeffs:
-            parts.append(np.max(np.abs(gc)))
+            parts.append(np.abs(gc).max())
         if config.update_centers:
             gt = grad_centers(cur, data)
-            parts.append(np.max(np.abs(gt)))
+            parts.append(np.abs(gt).max())
         gnorm = float(max(parts)) if parts else 0.0
         h = float(delta @ delta)
 
@@ -340,7 +344,7 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
             t = t - config.omega * gt
             if amp > 0:
                 t = t + amp * rng.standard_normal(t.shape)
-        cur = replace(cur, centers=t, coeffs=c)
+        cur = HBFModel(t, c, cur.sigma, cur.lam)  # cheaper than replace per step
 
         if config.resolve_every > 0 and it % config.resolve_every == 0:
             c = solve_coeffs(cur, data).coeffs

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import mmap
 import threading
 from dataclasses import dataclass
@@ -258,17 +259,32 @@ def arccos1_kernel(u: np.ndarray, v: np.ndarray) -> float:
     """Closed-form first-order arc-cosine kernel for standard normal weights.
 
     E |<w,u>|_+ |<w,v>|_+ = (1/2pi) |u||v| (sin th + (pi - th) cos th).
+
+    A vector whose largest |entry| lies outside 2**+-256 is scaled by a power
+    of two, which is exact, before its norm is taken, and the value is scaled
+    back, so finite vectors of any size give the value rounded to a float:
+    0.0 below the smallest one, ``InvalidArgument`` above the largest. Other
+    vectors are not scaled.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if not np.isfinite(nu * nv):  # a NaN or inf entry, or norms that overflow
+    tops = [float(np.abs(x).max(initial=0.0)) for x in (u, v)]
+    if not all(map(math.isfinite, tops)):
         raise InvalidArgument("arccos1_kernel needs finite vectors")
-    if nu == 0.0 or nv == 0.0:
+    if 0.0 in tops:
         raise ZeroVector("arccos1_kernel is undefined for a zero vector")
+    ku, kv = (e if abs(e) > 256 else 0 for _, e in map(math.frexp, tops))
+    u, v = np.ldexp(u, -ku), np.ldexp(v, -kv)
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     c = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
     th = np.arccos(c)
-    return float(nu * nv * (np.sin(th) + (np.pi - th) * np.cos(th)) / (2 * np.pi))
+    value = float(nu * nv * (np.sin(th) + (np.pi - th) * np.cos(th)) / (2 * np.pi))
+    try:
+        return math.ldexp(value, ku + kv)
+    except OverflowError:
+        raise InvalidArgument(
+            f"arccos1_kernel value {value!r} * 2**{ku + kv} exceeds the largest float"
+        ) from None
 
 
 def _check_projections(xs, xs2, p: float):
@@ -303,13 +319,14 @@ def step_kernel_numeric(
 
     The step is replaced by its ramp approximation ``ramps.step_approx``,
     alpha * (|s|_+ - |s - 1/alpha|_+), and the product integrated on a
-    uniform b-grid.
+    uniform b-grid. The second factor is multiplied into the first in place.
     """
     _index("grid_points", grid_points, 1000)
     _check_projections(xs, xs2, p)
 
     b = np.linspace(-p, p, grid_points)
-    integrand = step_approx(b - xs, alpha) * step_approx(b - xs2, alpha)
+    integrand = step_approx(b - xs, alpha)
+    integrand *= step_approx(b - xs2, alpha)
     return float(np.trapezoid(integrand, b))
 
 

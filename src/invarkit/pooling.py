@@ -29,6 +29,7 @@ from .errors import (
 from .signals import FiniteGroup, Signal, cyclic_group
 
 _EPS = np.finfo(float).eps
+_FLOAT = np.dtype(float)
 
 POOL_KINDS = ("sum", "max", "mean", "softmax", "mex")
 
@@ -59,8 +60,16 @@ _REALS = (float, int, np.floating, np.integer)
 
 
 def _rows(values, what: str) -> np.ndarray:
-    """values as a C-ordered float array whose last axis is nonempty."""
-    v = np.asarray(values, dtype=float, order="C")
+    """values as a C-ordered float array whose last axis is nonempty.
+
+    Values that are not real numbers (None, strings, complex) raise
+    InvalidArgument; a float array passes through without a conversion.
+    """
+    v = np.asarray(values, order="C")
+    if v.dtype is not _FLOAT:
+        if v.dtype.kind not in "biuf":
+            raise InvalidArgument(f"{what} values must be real, got dtype {v.dtype}")
+        v = v.astype(float)
     if v.ndim == 0:
         v = v.reshape(1)
     if v.shape[-1] == 0:

@@ -25,11 +25,16 @@ def abs_identity(s):
 def step_approx(s, alpha: float):
     """Sigmoid-like step from two ramps: alpha * (|s|_+ - |s - 1/alpha|_+).
 
-    0 for s <= 0, linear on (0, 1/alpha), 1 beyond.
+    0 for s <= 0, linear on (0, 1/alpha), 1 beyond. Each ramp is formed in
+    its own new array and the two are combined in place, so s is not
+    written to and the call allocates two arrays of its shape.
     """
     _finite("alpha", alpha, 0.0)
     s = np.asarray(s, dtype=float)
-    out = alpha * (np.maximum(s, 0.0) - np.maximum(s - 1.0 / alpha, 0.0))
+    out = np.maximum(s, 0.0, out=np.empty_like(s))
+    far = np.subtract(s, 1.0 / alpha, out=np.empty_like(s))
+    out -= np.maximum(far, 0.0, out=far)
+    out *= alpha
     return float(out) if out.ndim == 0 else out
 
 

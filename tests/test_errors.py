@@ -117,11 +117,21 @@ _SOFTMAX_LAYER_JSON = {
             json.dumps(dict(_SOFTMAX_LAYER_JSON, pooling={"kind": "softmax", "n": 2.5}))
         ),
         lambda: ramps.RampCombination(units=((1.0, 0.0, 2.5),)),
+        lambda: pooling.mex([1.0, None], 1.0),
+        lambda: pooling.mex(["1", "2"], 1.0),
+        lambda: pooling.mex(np.array([1.0 + 1.0j, 2.0]), 1.0),
+        lambda: pooling.pool([[1.0, None]], pooling.PoolingSpec("max")),
+        lambda: pooling.softmax_pool(["1", "2"], 2),
     ],
 )
 def test_untyped_and_truncated_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):
         call()
+
+
+def test_integer_and_single_precision_values_still_pool_as_floats():
+    assert pooling.mex([1, 2], 0.5) == pooling.mex([1.0, 2.0], 0.5)
+    assert pooling.pool(np.float32([1.5, 2.5]), pooling.PoolingSpec("mean")) == 2.0
 
 
 def test_layer_json_with_integer_fields_still_loads():

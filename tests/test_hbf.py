@@ -75,6 +75,18 @@ class TestRadialBasis:
             -radial_basis(r2, sigma) / (2 * sigma**2),
         )
 
+    @pytest.mark.parametrize("sigma", [0.3, 0.5, 0.7, 1.3])
+    def test_bit_equal_to_the_textbook_forms(self, sigma):
+        r = np.random.default_rng(5)
+        r2 = np.concatenate([[0.0, 5e-324, 1e-300], r.uniform(0, 50, 995), [800, 1e300]])
+        for x in (r2, r2.reshape(10, 100), 0.0, 0.37, 2.5, np.float64(3.1), [0.5, 4.0]):
+            G = np.exp(-np.asarray(x, dtype=float) / (2.0 * sigma**2))
+            dG = -G / (2.0 * sigma**2)
+            got, got_d = radial_basis(x, sigma), radial_basis_deriv(x, sigma)
+            assert type(got) is type(G) and type(got_d) is type(dG)
+            assert np.array_equal(got, G) and np.array_equal(got_d, dG)
+            assert np.array_equal(np.signbit(got_d), np.signbit(dG))
+
 
 class TestEval:
     def test_at_center(self):

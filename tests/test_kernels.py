@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import sys
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,6 +218,41 @@ class TestArcCosineOracle:
                 np.append(x.values, 1.0), np.append(y.values, 1.0)
             )
             assert abs(est.value - exact) <= 4 * est.stderr
+
+    def test_bit_equal_to_the_closed_form_on_ordinary_vectors(self):
+        def closed_form(u, v):
+            nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+            th = np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+            return float(nu * nv * (np.sin(th) + (np.pi - th) * np.cos(th)) / (2 * np.pi))
+
+        rng = np.random.default_rng(8)
+        for scale in (1e-60, 1e-3, 1.0, 7.5, 1e60):
+            for d in (2, 9, 65):
+                u, v = scale * rng.standard_normal((2, d))
+                assert arccos1_kernel(u, v) == closed_form(u, v)
+        u = rng.standard_normal(5)
+        assert arccos1_kernel(u, -u) == closed_form(u, -u)
+
+    def test_scales_by_powers_of_two_beyond_the_norm_range(self):
+        # scaling u by 2**a and v by 2**b scales the kernel by 2**(a + b) exactly
+        rng = np.random.default_rng(9)
+        u, v = rng.standard_normal((2, 6))
+        k = arccos1_kernel(u, v)
+        for a, b in ((-700, 700), (700, -700), (-600, -300), (400, 500), (-1000, 40)):
+            assert arccos1_kernel(np.ldexp(u, a), np.ldexp(v, b)) == math.ldexp(k, a + b)
+
+    def test_tiny_vectors_give_the_rounded_value_not_zero_vector(self):
+        ones = np.ones(3)
+        tiny = np.full(3, 2.0**-532)  # |u||v| = 3 * 2**-1064, a subnormal product
+        assert arccos1_kernel(tiny, tiny) == math.ldexp(arccos1_kernel(ones, ones), -1064)
+        assert arccos1_kernel(np.full(3, 1e-200), np.full(3, 1e-200)) == 0.0  # 1.5e-400
+        assert arccos1_kernel(np.full(3, 1e200), np.full(3, 1e-200)) == pytest.approx(1.5)
+
+    def test_huge_vectors_raise_a_typed_error_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument, match="exceeds the largest float"):
+                arccos1_kernel(np.full(3, 1e200), np.full(3, 1e200))
 
 
 class TestStepKernel:

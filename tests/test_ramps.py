@@ -46,6 +46,28 @@ class TestStepApprox:
         assert errors[-1] <= errors[0] + 1e-9
         assert errors[-1] <= 1e-6
 
+    @pytest.mark.parametrize("alpha", [7, 3e3, 1e4])
+    def test_bit_equal_to_the_two_ramp_formula(self, alpha):
+        def two_ramps(s):
+            return alpha * (np.maximum(s, 0.0) - np.maximum(s - 1.0 / alpha, 0.0))
+
+        r = np.random.default_rng(6)
+        edge = np.linspace(-2 / alpha, 3 / alpha, 1001)
+        s = np.concatenate([edge, r.uniform(-1, 1, 999)])
+        for x in (s, s.reshape(50, 40), s[::3]):
+            assert np.array_equal(step_approx(x, alpha), two_ramps(x))
+        for x in (-0.5, 0.0, 0.3 / alpha, 1.0 / alpha, 2.0):
+            got = step_approx(x, alpha)
+            assert type(got) is float and got == float(two_ramps(np.asarray(x)))
+        listed = [0.0, 0.5 / alpha]
+        assert np.array_equal(step_approx(listed, alpha), two_ramps(np.array(listed)))
+
+    def test_leaves_its_argument_unmodified(self):
+        s = np.linspace(-1.0, 1.0, 1001)
+        before = s.copy()
+        out = step_approx(s, 1e2)
+        assert np.array_equal(s, before) and out is not s
+
 
 class TestHat:
     def test_peak(self):

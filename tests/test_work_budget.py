@@ -1,16 +1,20 @@
-"""Ceilings on the work that the kernel and pooling primitives do.
+"""Ceilings on the work that the kernel, pooling and ramp primitives do.
 
 Call counts are exact and repeat from run to run, unlike timings on a
 shared host, so a change that brings back a per-pair or per-row call
 pattern fails here. Counts come from module attributes replaced with
 ``monkeypatch``; sizes are small so that the file runs in well under a
-second.
+second. Memory traffic is bounded too, by the peak of the bytes that
+``tracemalloc`` traces while a call runs (numpy reports its array buffers
+to it), so a change that brings back a temporary array fails as well.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from invarkit import kernels, pooling
+from invarkit import kernels, pooling, ramps
 from invarkit.kernels import TemplateSampler, gram, k0_mc, ktilde_mc
 from invarkit.signals import cyclic_group, normalize
 
@@ -60,3 +64,32 @@ def test_one_layer_forward_per_invariance_gap(monkeypatch):
     calls = _counter(monkeypatch, pooling, "layer_forward")
     pooling.invariance_gap(x, layer)
     assert len(calls) == 1
+
+
+_GRID = 100_000  # step_kernel_numeric's default grid_points
+# Python objects a call makes besides its arrays; a tenth of a grid array
+_SLACK = 0.1
+
+
+def _peak_grid_arrays(call) -> float:
+    """Peak traced memory while call() runs, in units of one float grid array."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (_GRID * 8)
+
+
+def test_step_approx_allocates_two_arrays():
+    s = np.linspace(-1.0, 1.0, _GRID)
+    assert _peak_grid_arrays(lambda: ramps.step_approx(s, 1e4)) <= 2 + _SLACK
+
+
+def test_step_kernel_numeric_holds_at_most_five_grid_arrays():
+    # the grid, a shifted grid, the integrand and step_approx's two arrays
+    peak = _peak_grid_arrays(lambda: kernels.step_kernel_numeric(0.2, -0.3, 1.0))
+    assert peak <= 5 + _SLACK

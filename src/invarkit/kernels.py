@@ -83,7 +83,10 @@ class _RowMemo:
 
     The rows live in one buffer, allocated once and refilled from its start
     after each new draw, so keeping a row allocates no memory. A new draw
-    overwrites them, so they are read and written only under the lock.
+    overwrites them, so they are read and written only under the lock. The
+    rows of the first call on a draw are held by reference to that call's
+    own array, and copied into the buffer only when a second call on that
+    draw arrives, so a draw that serves one call costs no copy.
     """
 
     def __init__(self, max_bytes: int):
@@ -98,26 +101,38 @@ class _RowMemo:
     def reset(self, draw):
         with self.lock:
             self.draw, self.rows, self.nbytes, self.used = draw, {}, 0, 0
+            self.copying = False  # until a second call, rows are references
 
     def put(self, key, row: np.ndarray) -> None:
-        """Keep a copy of row under key = (*draw, group, signal) if it fits.
+        """Keep row under key = (*draw, group, signal) if it fits.
 
-        A row of any draw but this memo's is dropped.
+        A row of any draw but this memo's is dropped. The caller must not
+        write to row.
         """
         size = row.nbytes + len(key[-1]) + len(key[-2] or b"")
         with self.lock:
             if key[:4] != self.draw or key in self.rows:
                 return
             if self.nbytes + size <= self.max_bytes:
-                kept = self.buffer[self.used : self.used + row.size]
-                kept[:] = row
-                self.rows[key] = kept
-                self.used += row.size
+                self.rows[key] = self._copy(row) if self.copying else row
                 self.nbytes += size
 
+    def _copy(self, row: np.ndarray) -> np.ndarray:
+        kept = self.buffer[self.used : self.used + row.size]
+        kept[:] = row
+        self.used += row.size
+        return kept
+
     def product(self, keys) -> np.ndarray | None:
-        """The product of the rows kept under both keys; None if one is missing."""
+        """The product of the rows kept under both keys; None if one is missing.
+
+        Every call on a draw asks here first, so a call on the memo's draw
+        after the one whose rows are held copies them into the buffer.
+        """
         with self.lock:
+            if not self.copying and self.rows and keys[0][:4] == self.draw:
+                self.rows = {k: self._copy(r) for k, r in self.rows.items()}
+                self.copying = True
             u, v = (self.rows.get(k) for k in keys)
             return None if u is None or v is None else u * v
 
@@ -158,11 +173,19 @@ class KernelEstimate:
 
 
 def _estimate(products: np.ndarray) -> KernelEstimate:
+    """Mean and standard error of the products, which are overwritten.
+
+    One sum gives the mean, and the squared deviations are formed in place:
+    bit for bit np.mean and np.std(ddof=1) / sqrt(S), with no S-sized
+    temporary.
+    """
     S = products.size
+    mean = np.add.reduce(products) / S
+    products -= mean
+    products *= products
+    var = np.add.reduce(products) / (S - 1)
     return KernelEstimate(
-        value=float(np.mean(products)),
-        stderr=float(np.std(products, ddof=1) / np.sqrt(S)),
-        samples=S,
+        value=float(mean), stderr=float(np.sqrt(var) / np.sqrt(S)), samples=S
     )
 
 
@@ -324,10 +347,31 @@ def step_kernel_numeric(
     _index("grid_points", grid_points, 1000)
     _check_projections(xs, xs2, p)
 
-    b = np.linspace(-p, p, grid_points)
+    b = _grid(p, grid_points)
     integrand = step_approx(b - xs, alpha)
     integrand *= step_approx(b - xs2, alpha)
-    return float(np.trapezoid(integrand, b))
+    # np.trapezoid(integrand, b), in its order of operations
+    mid = integrand[1:] + integrand[:-1]
+    mid *= _spacing(p, grid_points)
+    mid /= 2.0
+    return float(mid.sum())
+
+
+# The oracle's grid and spacing are kept for the next pair; typed, since a
+# float32 p gives a float32 grid. The spacing is made only once the
+# integrand is, so that a first call holds no more arrays at its peak.
+@functools.lru_cache(maxsize=1, typed=True)
+def _grid(p: float, grid_points: int) -> np.ndarray:
+    b = np.linspace(-p, p, grid_points)
+    b.flags.writeable = False
+    return b
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _spacing(p: float, grid_points: int) -> np.ndarray:
+    db = np.diff(_grid(p, grid_points))
+    db.flags.writeable = False
+    return db
 
 
 def ktilde_step(

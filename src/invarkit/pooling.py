@@ -172,6 +172,10 @@ class HWLayer:
     expression is sign-ambiguous for odd orders); set ``softmax_raw`` to
     feed the raw dot products instead. Raw mode carries no invariance or
     kernel claims.
+
+    The layer builds its orbit stack once: a read-only (T, |G|, d) array,
+    the T*|G| rows g t template-major and in ``group.elements`` order. It
+    holds T*|G|*d floats, and every forward takes its dot products from it.
     """
 
     templates: tuple
@@ -191,6 +195,9 @@ class HWLayer:
         for t in self.templates:
             if t.dim != self.group.dim:
                 raise DimensionMismatch("template dim differs from group dim")
+        orbits = np.stack([t.values[self.group.elements] for t in self.templates])
+        orbits.flags.writeable = False
+        object.__setattr__(self, "_orbits", orbits)  # [k, j] holds g_j t_k
 
     @property
     def input_dim(self) -> int:
@@ -215,11 +222,13 @@ def layer_forward(x, layer: HWLayer) -> np.ndarray:
         )
     spec = layer.pooling
     b = np.reshape(layer.biases, (-1,) + (1,) * xv.ndim)
+    # (..., |G|) per template: <g t, x> over g, for each row of x. Each
+    # template is its own BLAS product, as one stacked product would round
+    # some sums otherwise; for one signal they are a single batched call.
+    orbits = layer._orbits
+    per_template = orbits @ xv if xv.ndim == 1 else (xv @ o.T for o in orbits)
     cols = []
-    for t in layer.templates:
-        gt = t.values[layer.group.elements]  # row g holds g t
-        # (..., |G|): <g t, x> over g, for each row of x
-        dots = gt @ xv if xv.ndim == 1 else xv @ gt.T
+    for dots in per_template:
         if spec.kind == "softmax":
             # softmax takes no bias, so each template's row is pooled once per bias
             s = dots if layer.softmax_raw else np.maximum(dots, 0.0)

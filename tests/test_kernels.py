@@ -37,6 +37,7 @@ from invarkit.kernels import (
     step_kernel_exact,
     step_kernel_numeric,
 )
+from invarkit.ramps import step_approx
 from invarkit.signals import (
     FiniteGroup,
     Orbit,
@@ -124,6 +125,24 @@ class TestDraw:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("S", [2, 3, 17, 1000, 100_000])
+    @pytest.mark.parametrize("law", ["normal", "product", "offset", "zero", "constant"])
+    def test_equals_numpy_mean_and_std(self, S, law):
+        rng = np.random.default_rng(S)
+        products = {
+            "normal": lambda: rng.standard_normal(S),
+            "product": lambda: np.maximum(rng.standard_normal((2, S)), 0.0).prod(axis=0),
+            "offset": lambda: 3e7 + 1e5 * rng.standard_normal(S),
+            "zero": lambda: np.zeros(S),
+            "constant": lambda: np.full(S, 0.1),
+        }[law]()
+        est = _estimate(products.copy())
+        assert est.value == float(np.mean(products))
+        assert est.stderr == float(np.std(products, ddof=1) / np.sqrt(S))
+        assert est.samples == S
 
 
 class TestK0:
@@ -302,6 +321,15 @@ class TestStepKernel:
             assert step_kernel_numeric(a, b, 1.0, 100_000) == pytest.approx(
                 step_kernel_exact(a, b, 1.0), abs=1e-3
             )
+
+    def test_numeric_is_the_trapezoid_on_each_grid_in_turn(self):
+        # the kept grid is replaced, never reused, when p or grid_points change
+        for p, n in [(1.0, 100_000), (2.0, 5000), (1, 5000), (1.0, 100_000)]:
+            b = np.linspace(-p, p, n)
+            y = step_approx(b - 0.3 * p, 1e4) * step_approx(b + 0.1 * p, 1e4)
+            expected = float(np.trapezoid(y, b))
+            assert step_kernel_numeric(0.3 * p, -0.1 * p, p, n) == expected
+            assert not kernels._grid(p, n).flags.writeable
 
 
 class TestKtildeStep:
@@ -1034,6 +1062,19 @@ class TestRowMemo:
             assert len(kept) == 3 and memo.used == 3 * 40
             assert all(np.shares_memory(r, memo.buffer) for r in kept)
             assert np.shares_memory(kept[0], memo.buffer[:40])
+
+    def test_rows_of_one_call_are_copied_only_when_a_second_call_comes(self):
+        rng = np.random.default_rng(89)
+        x, y, z = (_unit(rng, 3) for _ in range(3))
+        memo = kernels._rows
+        for s in (TemplateSampler(seed=8), TemplateSampler(seed=9)):
+            k0_mc(x, y, s, 40)
+            assert memo.used == 0 and len(memo.rows) == 2
+            assert not any(np.shares_memory(r, memo.buffer) for r in memo.rows.values())
+        est = k0_mc(x, z, s, 40)  # the second call on seed 9's draw
+        assert memo.used == 3 * 40
+        assert all(np.shares_memory(r, memo.buffer) for r in memo.rows.values())
+        assert est == _estimate(np.prod(features((x, z), s, 40), axis=0))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_process_writes_to_its_own_buffer(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -307,6 +309,71 @@ def _layer_forward_reference(x, layer):
             out[k] = pool(s, layer.pooling)
             k += 1
     return out
+
+
+class TestOrbitStack:
+    def _layer(self, d=6, seed=0):
+        rng = np.random.default_rng(seed)
+        return HWLayer(
+            templates=tuple(normalize(rng.standard_normal(d)) for _ in range(3)),
+            biases=(-0.2, 0.1),
+            group=cyclic_group(d),
+            pooling=PoolingSpec("mex", xi=2.0),
+        )
+
+    def test_stack_is_read_only_and_template_major(self):
+        layer = self._layer()
+        orbits = layer._orbits
+        assert orbits.shape == (3, 6, 6)
+        for k, t in enumerate(layer.templates):
+            assert np.array_equal(orbits[k], t.values[layer.group.elements])
+        with pytest.raises(ValueError):
+            orbits[0, 0, 0] = 1.0
+
+    def test_replace_rebuilds_the_stack(self):
+        layer, other = self._layer(seed=0), self._layer(seed=1)
+        moved = dataclasses.replace(layer, templates=other.templates)
+        assert np.array_equal(moved._orbits, other._orbits)
+        assert not moved._orbits.flags.writeable
+        x = normalize(np.random.default_rng(2).standard_normal(6))
+        assert np.array_equal(layer_forward(x, moved), layer_forward(x, other))
+
+    def test_json_round_trip_forwards_equal(self):
+        layer = self._layer()
+        restored = layer_from_json(layer_to_json(layer))
+        rng = np.random.default_rng(3)
+        for x in (normalize(rng.standard_normal(6)), rng.standard_normal((5, 6))):
+            assert np.array_equal(layer_forward(x, restored), layer_forward(x, layer))
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 9])
+    @pytest.mark.parametrize("order", ["full", "half", "one"])
+    def test_equals_per_pair_loop_at_any_group_order(self, d, order):
+        # orders that are not a multiple of 4 are where one stacked product
+        # over all templates rounds otherwise than one product per template
+        rng = np.random.default_rng(d)
+        G = cyclic_group(d)
+        n = {"full": d, "half": d // 2, "one": 1}[order]
+        layer = HWLayer(
+            templates=tuple(normalize(rng.standard_normal(d)) for _ in range(5)),
+            biases=(-0.3, 0.0, 0.4),
+            group=FiniteGroup(G.elements[:n]),
+            pooling=PoolingSpec("mex", xi=2.0),
+        )
+        for x in (normalize(rng.standard_normal(d)), rng.standard_normal(d)):
+            assert np.array_equal(
+                layer_forward(x, layer), _layer_forward_reference(x, layer)
+            )
+
+    @pytest.mark.parametrize("d", [5, 12])
+    def test_block_equals_per_template_products(self, d):
+        layer = _block_layer(PoolingSpec("mex", xi=2.0), d=d)
+        X = np.random.default_rng(4).standard_normal((7, d))
+        cols = []
+        for t in layer.templates:
+            dots = X @ t.values[layer.group.elements].T
+            for b in layer.biases:
+                cols.append(pool(np.maximum(dots + b, 0.0), layer.pooling))
+        assert np.array_equal(layer_forward(X, layer), np.array(cols).T)
 
 
 class TestNetworkForward:

@@ -71,8 +71,8 @@ _GRID = 100_000  # step_kernel_numeric's default grid_points
 _SLACK = 0.1
 
 
-def _peak_grid_arrays(call) -> float:
-    """Peak traced memory while call() runs, in units of one float grid array."""
+def _peak_bytes(call) -> int:
+    """Peak traced memory while call() runs, above what was traced before."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -81,7 +81,12 @@ def _peak_grid_arrays(call) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - base) / (_GRID * 8)
+    return peak - base
+
+
+def _peak_grid_arrays(call) -> float:
+    """Peak traced memory while call() runs, in units of one float grid array."""
+    return _peak_bytes(call) / (_GRID * 8)
 
 
 def test_step_approx_allocates_two_arrays():
@@ -93,3 +98,20 @@ def test_step_kernel_numeric_holds_at_most_five_grid_arrays():
     # the grid, a shifted grid, the integrand and step_approx's two arrays
     peak = _peak_grid_arrays(lambda: kernels.step_kernel_numeric(0.2, -0.3, 1.0))
     assert peak <= 5 + _SLACK
+
+
+def test_single_signal_forward_makes_no_orbit_gather():
+    # the layer's orbit stack is built with it; a forward gathers no g t
+    d = 128
+    rng = np.random.default_rng(4)
+    temps = [normalize(rng.standard_normal(d)) for _ in range(4)]
+    layer = pooling.HWLayer(temps, (0.0, 0.2), cyclic_group(d), pooling.PoolingSpec("max"))
+    x = normalize(rng.standard_normal(d))
+    gather = d * d * 8  # bytes of one template's (|G|, d) orbit block
+    assert _peak_bytes(lambda: pooling.layer_forward(x, layer)) <= gather / 4
+
+
+def test_estimate_allocates_no_sample_sized_array():
+    products = np.random.default_rng(5).standard_normal(_GRID)
+    # np.std allocates the S deviations; the estimate forms them in place
+    assert _peak_bytes(lambda: kernels._estimate(products)) / (_GRID * 8) <= _SLACK

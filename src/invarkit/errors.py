@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and its two argument checks."""
+"""Exception types shared across the library, its argument checks and JSON reader."""
 
+import json
 import math
 
 import numpy as np
@@ -100,3 +101,34 @@ def _finite(name: str, v, lo: float | None = None, strict=True, error=InvalidArg
     if not ok:
         bound = "" if lo is None else f" {'>' if strict else '>='} {lo}"
         raise error(f"{name} must be a finite real{bound}, not {v!r}")
+
+
+def _reals(name: str, values) -> np.ndarray:
+    """values as a float array; InvalidArgument unless every entry is a finite real."""
+    try:
+        v = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidArgument(f"{name} must be an array of reals") from exc
+    if v.dtype.kind not in "biuf":
+        raise InvalidArgument(f"{name} must hold real numbers, not {v.dtype} values")
+    if not np.isfinite(v).all():
+        raise InvalidArgument(f"{name} must be finite")
+    return v.astype(float, copy=False)
+
+
+def _json_object(text, what: str, keys: tuple) -> dict:
+    """text parsed as a JSON object that holds every key in ``keys``.
+
+    Text that is not JSON, a document that is not an object and a missing
+    key raise InvalidArgument; each message names ``what``.
+    """
+    try:
+        doc = json.loads(text)
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InvalidArgument(f"{what} is not JSON text: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidArgument(f"{what} must be a JSON object, not {type(doc).__name__}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise InvalidArgument(f"{what} lacks the keys {missing}")
+    return doc

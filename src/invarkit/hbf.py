@@ -25,6 +25,8 @@ from .errors import (
     SingularSystem,
     _finite,
     _index,
+    _json_object,
+    _reals,
 )
 
 _JITTER_FLOOR = 1e-12
@@ -121,39 +123,63 @@ def radial_basis_deriv(r2, sigma: float):
     return radial_basis(r2, sigma) / (-2.0 * sigma**2)
 
 
+def _sq_dist(X: np.ndarray, t: np.ndarray):
+    """(N, n) squared distances ||x_i - t_a||^2, and the differences at d = 1.
+
+    At d = 1 the distance is the square of the one difference x_i - t_a: a
+    one-term sum, so it has the bits of cdist's "sqeuclidean" without a
+    cdist call, and the (N, n) differences are returned for the center
+    gradient. For d >= 2 (or unequal dims, which cdist rejects) cdist's
+    single pass is faster, and a sum over columns would depend on cdist's
+    order of summation; the differences are then None.
+    """
+    if X.shape[1] == t.shape[1] == 1:
+        diff = X - t.T
+        return diff * diff, diff
+    return cdist(X, t, "sqeuclidean"), None
+
+
 def _design(model: HBFModel, X: np.ndarray) -> np.ndarray:
     """(N, n) matrix of G(||x_i - t_a||^2)."""
-    r2 = cdist(X, model.centers, "sqeuclidean")
-    return radial_basis(r2, model.sigma)
+    return radial_basis(_sq_dist(X, model.centers)[0], model.sigma)
+
+
+def _points(X) -> np.ndarray:
+    """X as a finite (N, d) float array; one point may come as a 1-D vector."""
+    X = np.atleast_2d(_reals("X", X))
+    if X.ndim > 2:
+        raise DimensionMismatch(f"X must be one point or an (N, d) block, not {X.shape}")
+    return X
 
 
 def hbf_eval(model: HBFModel, x) -> float:
     """f(x) = sum_a c_a G(||x - t_a||^2)."""
-    return float(hbf_eval_batch(model, np.ravel(x)[None, :])[0])
+    return float(hbf_eval_batch(model, _reals("x", x).reshape(1, -1))[0])
 
 
 def hbf_eval_batch(model: HBFModel, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _points(X)
     if X.shape[1] != model.d:
         raise DimensionMismatch(f"input dim {X.shape[1]} != model dim {model.d}")
     return _design(model, X) @ model.coeffs
 
 
 def _forward(model: HBFModel, data: TrainingSet):
-    """Squared distances r2 (N, n), design Phi = G(r2) and residuals Delta (N,).
+    """Squared distances r2 (N, n), design Phi = G(r2), residuals Delta (N,), diff.
 
+    diff holds the differences x_i - t_a at d = 1 and is None otherwise.
     Delta_i = y_i - f(x_i) is what the objective, both gradients and the
     center fixed-point condition are built from.
     """
-    r2 = cdist(data.inputs, model.centers, "sqeuclidean")
+    r2, diff = _sq_dist(data.inputs, model.centers)
     Phi = radial_basis(r2, model.sigma)
-    return r2, Phi, data.targets - Phi @ model.coeffs
+    return r2, Phi, data.targets - Phi @ model.coeffs, diff
 
 
-def _center_weights(model: HBFModel, data: TrainingSet) -> np.ndarray:
-    """(N, n) matrix P_i^a = Delta_i G'(||x_i - t_a||^2)."""
-    r2, _, delta = _forward(model, data)
-    return delta[:, None] * radial_basis_deriv(r2, model.sigma)
+def _center_weights(model: HBFModel, data: TrainingSet):
+    """(N, n) matrix P_i^a = Delta_i G'(||x_i - t_a||^2), and _forward's differences."""
+    r2, _, delta, diff = _forward(model, data)
+    return delta[:, None] * radial_basis_deriv(r2, model.sigma), diff
 
 
 def objective(model: HBFModel, data: TrainingSet) -> float:
@@ -164,7 +190,7 @@ def objective(model: HBFModel, data: TrainingSet) -> float:
 
 def grad_coeffs(model: HBFModel, data: TrainingSet) -> np.ndarray:
     """dH/dc_a = -2 sum_i Delta_i G(||x_i - t_a||^2)."""
-    _, Phi, delta = _forward(model, data)
+    Phi, delta = _forward(model, data)[1:3]
     return -2.0 * (Phi.T @ delta)
 
 
@@ -176,13 +202,17 @@ def grad_centers(model: HBFModel, data: TrainingSet) -> np.ndarray:
     and the examples are then summed in index order by one reduction over
     axis 0. A sum per column takes numpy's pairwise order instead (it
     differs at n = 1); the bit-identity tests against the broadcast
-    reference pin this order.
+    reference pin this order. At d = 1 the products are formed in P from
+    the forward pass's differences.
     """
-    P = _center_weights(model, data)
+    P, diff = _center_weights(model, data)
     X, t = data.inputs, model.centers
-    weighted = np.empty((X.shape[0],) + t.shape)
-    for k in range(t.shape[1]):
-        np.multiply(P, X[:, k, None] - t[:, k], out=weighted[:, :, k])
+    if diff is not None:
+        weighted = np.multiply(P, diff, out=P)[:, :, None]
+    else:
+        weighted = np.empty((X.shape[0],) + t.shape)
+        for k in range(t.shape[1]):
+            np.multiply(P, X[:, k, None] - t[:, k], out=weighted[:, :, k])
     return 4.0 * model.coeffs[:, None] * weighted.sum(axis=0)
 
 
@@ -225,7 +255,7 @@ def solve_coeffs(model: HBFModel, data: TrainingSet) -> SolveResult:
 
 def median_pairwise_distance(X) -> float:
     """Default radial width: median pairwise distance of the inputs."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _points(X)
     D = cdist(X, X)
     vals = D[np.triu_indices_from(D, k=1)]
     med = float(np.median(vals)) if vals.size else 1.0
@@ -247,7 +277,7 @@ def init_centers(data: TrainingSet, n: int, seed: int = 0) -> np.ndarray:
     X = data.inputs
     centers = X[rng.choice(N, size=n, replace=False)].copy()
     for _ in range(50):
-        D = cdist(X, centers, "sqeuclidean")
+        D = _sq_dist(X, centers)[0]
         assign = np.argmin(D, axis=1)  # argmin takes the lowest index on ties
         new = np.empty_like(centers)
         for a in range(n):
@@ -293,6 +323,17 @@ def _trace(objectives, grad_inf_norms, converged: bool) -> TrainTrace:
     )
 
 
+def _iterate(model: HBFModel, centers: np.ndarray, coeffs: np.ndarray) -> HBFModel:
+    """model with new (n, d) centers and (n,) coeffs, both float arrays.
+
+    Skips HBFModel's checks, which model has passed: training makes one
+    iterate per step, and sigma and lam are model's own.
+    """
+    new = object.__new__(HBFModel)
+    new.__dict__.update(centers=centers, coeffs=coeffs, sigma=model.sigma, lam=model.lam)
+    return new
+
+
 def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
     """Joint gradient descent on coefficients and centers.
 
@@ -305,13 +346,13 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     c = model.coeffs.copy()
     t = model.centers.copy()
-    cur = replace(model, centers=t, coeffs=c)
+    cur = _iterate(model, t, c)
 
     objs, gnorms = [], []
     h0 = objective(cur, data)
     converged = False
     for it in range(1, config.max_iters + 1):
-        _, Phi, delta = _forward(cur, data)
+        Phi, delta = _forward(cur, data)[1:3]
         gc = -2.0 * (Phi.T @ delta)
         parts = []
         if config.update_coeffs:
@@ -344,11 +385,11 @@ def train(model: HBFModel, data: TrainingSet, config: TrainConfig):
             t = t - config.omega * gt
             if amp > 0:
                 t = t + amp * rng.standard_normal(t.shape)
-        cur = HBFModel(t, c, cur.sigma, cur.lam)  # cheaper than replace per step
+        cur = _iterate(cur, t, c)
 
         if config.resolve_every > 0 and it % config.resolve_every == 0:
             c = solve_coeffs(cur, data).coeffs
-            cur = replace(cur, coeffs=c)
+            cur = _iterate(cur, t, c)
 
     return cur, _trace(objs, gnorms, converged)
 
@@ -445,7 +486,7 @@ def center_fixed_point_residual(
     P_i^a = Delta_i G'(||x_i - t_a||^2). Centers whose denominator is below
     denom_tol in magnitude are skipped and reported.
     """
-    P = _center_weights(model, data)
+    P = _center_weights(model, data)[0]
     denom = P.sum(axis=0)
     skipped = []
     worst = 0.0
@@ -487,10 +528,13 @@ def model_to_json(model: HBFModel) -> str:
 
 
 def model_from_json(text: str) -> HBFModel:
-    doc = json.loads(text)
+    """Inverse of model_to_json; a malformed document raises InvalidArgument."""
+    doc = _json_object(text, "model JSON", ("centers", "coeffs", "sigma", "lambda"))
+    for key in ("sigma", "lambda"):
+        _finite(key, doc[key])
     return HBFModel(
-        centers=np.asarray(doc["centers"], dtype=float),
-        coeffs=np.asarray(doc["coeffs"], dtype=float),
+        centers=_reals("centers", doc["centers"]),
+        coeffs=_reals("coeffs", doc["coeffs"]),
         sigma=float(doc["sigma"]),
         lam=float(doc["lambda"]),
     )

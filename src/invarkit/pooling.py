@@ -25,8 +25,10 @@ from .errors import (
     ZeroSignature,
     _finite,
     _index,
+    _json_object,
+    _reals,
 )
-from .signals import FiniteGroup, Signal, cyclic_group
+from .signals import FiniteGroup, Signal, _by_constructor, cyclic_group
 
 _EPS = np.finfo(float).eps
 _FLOAT = np.dtype(float)
@@ -183,6 +185,7 @@ class HWLayer:
     group: FiniteGroup
     pooling: PoolingSpec
     softmax_raw: bool = False
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         object.__setattr__(self, "templates", tuple(self.templates))
@@ -309,12 +312,18 @@ def layer_to_json(layer: HWLayer) -> str:
 
 
 def layer_from_json(text: str) -> HWLayer:
-    """Inverse of layer_to_json. Only the cyclic group is supported."""
-    doc = json.loads(text)
+    """Inverse of layer_to_json. Only the cyclic group is supported.
+
+    A malformed document raises InvalidArgument.
+    """
+    doc = _json_object(text, "layer JSON", ("dim", "templates", "biases"))
     if doc.get("group") != "cyclic":
         raise InvalidArgument(f"unsupported group {doc.get('group')!r}")
     d = _index("dim", doc["dim"], 1)
     p = doc.get("pooling", {})
+    if not (isinstance(doc["templates"], list) and isinstance(doc["biases"], list)
+            and isinstance(p, dict)):
+        raise InvalidArgument("layer JSON needs template and bias lists and a pooling object")
     xi = p.get("xi", 0.0)
     _finite("mex xi", xi)
     spec = PoolingSpec(
@@ -323,7 +332,7 @@ def layer_from_json(text: str) -> HWLayer:
         xi=float(xi),
     )
     return HWLayer(
-        templates=tuple(Signal(np.asarray(t, dtype=float)) for t in doc["templates"]),
+        templates=tuple(Signal(_reals("template", t)) for t in doc["templates"]),
         biases=tuple(doc["biases"]),
         group=cyclic_group(d),
         pooling=spec,

@@ -8,7 +8,7 @@ used elsewhere into exact finite sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,11 +17,21 @@ from .errors import DimensionMismatch, InvalidArgument, ZeroVector, _index
 _NORM_TOL = 1e-12
 
 
+def _by_constructor(obj):
+    """__reduce__ that rebuilds obj from its fields through its constructor.
+
+    A pickled or copied object is then checked again, and its arrays are
+    read-only again; restoring the instance dict would leave them writeable.
+    """
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+
+
 @dataclass(frozen=True)
 class Signal:
     """A real vector of unit Euclidean norm."""
 
     values: np.ndarray
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -63,6 +73,7 @@ class FiniteGroup:
 
     elements: np.ndarray  # (order, d) int array
     identity_index: int = 0
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         e = np.asarray(self.elements, dtype=np.intp)

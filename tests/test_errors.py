@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from invarkit import hbf, kernels, pooling, ramps
-from invarkit.errors import InvalidArgument, InvarkitError, ZeroVector
+from invarkit.errors import DimensionMismatch, InvalidArgument, InvarkitError, ZeroVector
 from invarkit.signals import Signal, cyclic_group
 
 _MODEL = dict(centers=[[0.0]], coeffs=[1.0], sigma=1.0)
@@ -94,6 +94,14 @@ def test_bare_value_errors_are_typed(call):
     assert isinstance(err.value, InvalidArgument) and isinstance(err.value, ValueError)
 
 
+_MODEL_DOC = {"centers": [[0.0]], "coeffs": [1.0], "sigma": 1.0, "lambda": 0.0}
+_CYCLIC_LAYER_DOC = dict(_LAYER_JSON, group="cyclic")
+
+
+def _without(doc, key):
+    return json.dumps({k: v for k, v in doc.items() if k != key})
+
+
 _SOFTMAX_LAYER_JSON = {
     "dim": 4,
     "group": "cyclic",
@@ -122,6 +130,22 @@ _SOFTMAX_LAYER_JSON = {
         lambda: pooling.mex(np.array([1.0 + 1.0j, 2.0]), 1.0),
         lambda: pooling.pool([[1.0, None]], pooling.PoolingSpec("max")),
         lambda: pooling.softmax_pool(["1", "2"], 2),
+        lambda: hbf.model_from_json("{"),
+        lambda: hbf.model_from_json("[1, 2]"),
+        lambda: hbf.model_from_json(_without(_MODEL_DOC, "lambda")),
+        lambda: hbf.model_from_json(_without(_MODEL_DOC, "centers")),
+        lambda: hbf.model_from_json(json.dumps(dict(_MODEL_DOC, sigma="x"))),
+        lambda: hbf.model_from_json(json.dumps(dict(_MODEL_DOC, coeffs=["1"]))),
+        lambda: hbf.model_from_json(json.dumps(dict(_MODEL_DOC, centers=[[None]]))),
+        lambda: pooling.layer_from_json("not json"),
+        lambda: pooling.layer_from_json("[1, 2]"),
+        lambda: pooling.layer_from_json(_without(_CYCLIC_LAYER_DOC, "dim")),
+        lambda: pooling.layer_from_json(_without(_CYCLIC_LAYER_DOC, "templates")),
+        lambda: pooling.layer_from_json(
+            json.dumps(dict(_CYCLIC_LAYER_DOC, templates=[["a", "b"]]))
+        ),
+        lambda: pooling.layer_from_json(json.dumps(dict(_CYCLIC_LAYER_DOC, biases=3))),
+        lambda: pooling.layer_from_json(json.dumps(dict(_CYCLIC_LAYER_DOC, pooling=[]))),
     ],
 )
 def test_untyped_and_truncated_arguments_raise_invalid_argument(call):
@@ -148,6 +172,7 @@ def test_ramp_fit_refuses_a_non_finite_grid_bound_quietly(grid, capfd):
     assert capfd.readouterr().err == ""
 
 
+_ONE_CENTER = hbf.HBFModel(**_MODEL)
 _MEX_LAYER_JSON = dict(_SOFTMAX_LAYER_JSON, pooling={"kind": "mex", "xi": "x"})
 _TEMPLATE = Signal(np.array([1.0, 0.0]))
 
@@ -174,6 +199,12 @@ _TEMPLATE = Signal(np.array([1.0, 0.0]))
         (lambda: kernels.arccos1_kernel(np.ones(3), np.zeros(3)), ZeroVector),
         (lambda: kernels.arccos1_kernel([np.nan, 1.0, 0.0], np.ones(3)), InvalidArgument),
         (lambda: kernels.arccos1_kernel(np.ones(3), [np.inf, 0.0, 0.0]), InvalidArgument),
+        (lambda: hbf.hbf_eval(_ONE_CENTER, [np.nan]), InvalidArgument),
+        (lambda: hbf.hbf_eval(_ONE_CENTER, [np.inf]), InvalidArgument),
+        (lambda: hbf.hbf_eval_batch(_ONE_CENTER, [["a"]]), InvalidArgument),
+        (lambda: hbf.hbf_eval_batch(_ONE_CENTER, [[1.0 + 1.0j]]), InvalidArgument),
+        (lambda: hbf.hbf_eval_batch(_ONE_CENTER, np.zeros((2, 1, 1))), DimensionMismatch),
+        (lambda: hbf.median_pairwise_distance([[np.nan], [1.0]]), InvalidArgument),
     ],
 )
 def test_non_finite_and_zero_inputs_raise_typed_errors(call, error):

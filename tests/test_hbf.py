@@ -628,7 +628,8 @@ class TestCenterGradientOrder:
     @pytest.mark.parametrize(
         "N,n,d",
         [(9, 1, 2), (14, 1, 3), (18, 1, 3), (10, 1, 2), (20, 3, 2), (7, 5, 17),
-         (200, 10, 1), (2000, 40, 2)],
+         (200, 10, 1), (2000, 40, 2), (9, 1, 1), (14, 1, 1), (33, 1, 1),
+         (2000, 40, 1)],
     )
     def test_matches_reference_at_shape(self, N, n, d):
         model, data = _instance(np.random.default_rng(0), N, n, d)
@@ -650,6 +651,38 @@ class TestCenterGradientOrder:
         assert np.array_equal(got.centers, ref.centers)
         assert np.array_equal(got.coeffs, ref.coeffs)
         assert not np.array_equal(got.centers, model.centers)
+
+
+def _through_cdist(X, t):
+    return cdist(X, t, "sqeuclidean"), None
+
+
+class TestOneDimensionalDistances:
+    """At d = 1 the distances skip cdist and keep every bit of its result."""
+
+    @pytest.mark.parametrize("N,n", [(1, 1), (9, 1), (200, 10), (57, 57)])
+    def test_equal_to_cdist(self, N, n):
+        r = np.random.default_rng(N)
+        X, t = r.standard_normal((N, 1)), r.standard_normal((n, 1))
+        r2, diff = hbf._sq_dist(X, t)
+        assert np.array_equal(r2, cdist(X, t, "sqeuclidean"))
+        assert np.array_equal(diff, X[:, 0, None] - t[:, 0])
+
+    def test_init_centers_and_solve_coeffs_as_through_cdist(self, monkeypatch):
+        model, data = _sin_setup(n=10, seed=3)
+        centers = init_centers(data, 10, seed=3)
+        solved = solve_coeffs(model, data)
+        monkeypatch.setattr(hbf, "_sq_dist", _through_cdist)
+        assert np.array_equal(centers, init_centers(data, 10, seed=3))
+        ref = solve_coeffs(model, data)
+        assert np.array_equal(solved.coeffs, ref.coeffs)
+        assert solved.max_residual == ref.max_residual
+
+    def test_unequal_dims_still_rejected_by_cdist(self):
+        model = HBFModel(centers=[[0.0], [1.0]], coeffs=[1.0, 1.0], sigma=1.0)
+        data = TrainingSet(np.zeros((3, 2)), np.zeros(3))
+        with pytest.raises(ValueError):
+            objective(model, data)
 
 
 class TestCapacity:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import mpmath
 import numpy as np
@@ -344,6 +346,21 @@ class TestOrbitStack:
         rng = np.random.default_rng(3)
         for x in (normalize(rng.standard_normal(6)), rng.standard_normal((5, 6))):
             assert np.array_equal(layer_forward(x, restored), layer_forward(x, layer))
+
+    @pytest.mark.parametrize(
+        "round_trip", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_round_trip_keeps_the_arrays_read_only(self, round_trip):
+        layer = self._layer()
+        restored = round_trip(layer)
+        assert np.array_equal(restored._orbits, layer._orbits)
+        assert not restored._orbits.flags.writeable
+        for t, t0 in zip(restored.templates, layer.templates):
+            assert np.array_equal(t.values, t0.values)
+            assert not t.values.flags.writeable
+        assert not restored.group.elements.flags.writeable
+        assert (restored.biases, restored.pooling) == (layer.biases, layer.pooling)
 
     @pytest.mark.parametrize("d", [3, 5, 7, 9])
     @pytest.mark.parametrize("order", ["full", "half", "one"])

@@ -1,7 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from invarkit.errors import DimensionMismatch, ZeroVector
+from invarkit.errors import DimensionMismatch, InvalidArgument, ZeroVector
 from invarkit.signals import (
     FiniteGroup,
     Signal,
@@ -131,3 +134,32 @@ class TestGroupAxioms:
         report = verify_group_axioms(partial)
         assert not report.closure_ok
         assert not report.all_ok
+
+
+_ROUND_TRIPS = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("round_trip", _ROUND_TRIPS.values(), ids=_ROUND_TRIPS)
+class TestRestoredArraysStayReadOnly:
+    def test_signal(self, round_trip):
+        x = normalize([3.0, 4.0, 12.0])
+        restored = round_trip(x)
+        assert np.array_equal(restored.values, x.values)
+        assert not restored.values.flags.writeable
+
+    def test_group(self, round_trip):
+        G = cyclic_group(5)
+        restored = round_trip(G)
+        assert np.array_equal(restored.elements, G.elements)
+        assert restored.identity_index == G.identity_index
+        assert not restored.elements.flags.writeable
+
+    def test_restored_signal_is_checked_again(self, round_trip):
+        # restored through the constructor, a signal off the unit sphere fails
+        x = normalize([1.0, 1.0])
+        object.__setattr__(x, "values", np.array([1.0, 1.0]))
+        with pytest.raises(InvalidArgument):
+            round_trip(x)

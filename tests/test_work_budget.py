@@ -1,4 +1,4 @@
-"""Ceilings on the work that the kernel, pooling and ramp primitives do.
+"""Ceilings on the work that the kernel, pooling, ramp and HBF primitives do.
 
 Call counts are exact and repeat from run to run, unlike timings on a
 shared host, so a change that brings back a per-pair or per-row call
@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invarkit import kernels, pooling, ramps
+from invarkit import hbf, kernels, pooling, ramps
 from invarkit.kernels import TemplateSampler, gram, k0_mc, ktilde_mc
 from invarkit.signals import cyclic_group, normalize
 
@@ -64,6 +64,21 @@ def test_one_layer_forward_per_invariance_gap(monkeypatch):
     calls = _counter(monkeypatch, pooling, "layer_forward")
     pooling.invariance_gap(x, layer)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d, per_step", [(1, 0), (2, 2)])
+def test_cdist_calls_per_train_step(monkeypatch, d, per_step):
+    # at d = 1 the distances are one difference squared; cdist serves d >= 2
+    rng = np.random.default_rng(6)
+    data = hbf.TrainingSet(rng.standard_normal((30, d)), rng.standard_normal(30))
+    model = hbf.HBFModel(rng.standard_normal((4, d)), rng.standard_normal(4), 1.0)
+    steps = 5
+    cfg = hbf.TrainConfig(omega=1e-4, max_iters=steps, grad_tol=1e-300, resolve_every=0)
+    calls = _counter(monkeypatch, hbf, "cdist")
+    _, trace = hbf.train(model, data, cfg)
+    assert trace.iterations.size == steps
+    # one more for the starting objective, when distances take cdist at all
+    assert len(calls) <= per_step * steps + (per_step > 0)
 
 
 _GRID = 100_000  # step_kernel_numeric's default grid_points

@@ -12,7 +12,6 @@ import csv
 import functools
 import json
 import math
-import mmap
 import threading
 from dataclasses import dataclass
 
@@ -71,80 +70,12 @@ class TemplateSampler:
         # checked here, so that a non-integer size is an error, not a cache hit
         return _draw(
             self, _index("d", d, 0), _index("S", S, 0), _index("stream", stream, 0)
-        )
-
-
-# Windows has neither fork nor the flag; its anonymous maps are private.
-_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-
-
-class _RowMemo:
-    """Feature rows of one draw, keyed by content, at most max_bytes of them.
-
-    The rows live in one buffer, allocated once and refilled from its start
-    after each new draw, so keeping a row allocates no memory. A new draw
-    overwrites them, so they are read and written only under the lock. The
-    rows of the first call on a draw are held by reference to that call's
-    own array, and copied into the buffer only when a second call on that
-    draw arrives, so a draw that serves one call costs no copy.
-    """
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.lock = threading.Lock()
-        # An anonymous map, not np.empty: numpy asks for 2 MiB huge pages at
-        # this size, while a page of the map takes memory once it is written.
-        # It is private, so that a forked process writes to its own copy.
-        self.buffer = np.frombuffer(mmap.mmap(-1, max_bytes // 8 * 8, **_PRIVATE))
-        self.reset(None)
-
-    def reset(self, draw):
-        with self.lock:
-            self.draw, self.rows, self.nbytes, self.used = draw, {}, 0, 0
-            self.copying = False  # until a second call, rows are references
-
-    def put(self, key, row: np.ndarray) -> None:
-        """Keep row under key = (*draw, group, signal) if it fits.
-
-        A row of any draw but this memo's is dropped. The caller must not
-        write to row.
-        """
-        size = row.nbytes + len(key[-1]) + len(key[-2] or b"")
-        with self.lock:
-            if key[:4] != self.draw or key in self.rows:
-                return
-            if self.nbytes + size <= self.max_bytes:
-                self.rows[key] = self._copy(row) if self.copying else row
-                self.nbytes += size
-
-    def _copy(self, row: np.ndarray) -> np.ndarray:
-        kept = self.buffer[self.used : self.used + row.size]
-        kept[:] = row
-        self.used += row.size
-        return kept
-
-    def product(self, keys) -> np.ndarray | None:
-        """The product of the rows kept under both keys; None if one is missing.
-
-        Every call on a draw asks here first, so a call on the memo's draw
-        after the one whose rows are held copies them into the buffer.
-        """
-        with self.lock:
-            if not self.copying and self.rows and keys[0][:4] == self.draw:
-                self.rows = {k: self._copy(r) for k, r in self.rows.items()}
-                self.copying = True
-            u, v = (self.rows.get(k) for k in keys)
-            return None if u is None or v is None else u * v
-
-
-# 8 MiB holds a 50-point Gram's rows at S = 20000.
-_ROWS_MAX_BYTES = 8 << 20
-_rows = _RowMemo(_ROWS_MAX_BYTES)
+        )[:2]
 
 
 @functools.lru_cache(maxsize=1)
 def _draw(sampler: TemplateSampler, d: int, S: int, stream: int):
-    _rows.reset((sampler, d, S, stream))  # a new draw drops the old rows
+    """T, b and the rows of ``features`` kept, by (group or None, signal) bytes."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=sampler.seed, spawn_key=(stream,))
     )
@@ -157,7 +88,7 @@ def _draw(sampler: TemplateSampler, d: int, S: int, stream: int):
         b = rng.uniform(-sampler.bias_range, sampler.bias_range, S)
     T.flags.writeable = False
     b.flags.writeable = False
-    return T, b
+    return T, b, {}
 
 
 @dataclass(frozen=True)
@@ -232,25 +163,40 @@ def features(
     return R.reshape(len(X), -1, S).mean(axis=1)
 
 
+# 8 MiB holds a 50-point Gram's rows at S = 20000.
+_ROWS_MAX_BYTES = 8 << 20
+_keeping = threading.Lock()  # held while rows are checked against the cap and kept
+
+
 def _pair_estimate(x, x2, sampler, S, group) -> KernelEstimate:
-    """Mean of Phi(x) * Phi(x2), with rows of the retained draw reused.
+    """Mean of Phi(x) * Phi(x2), with the rows that the retained draw keeps.
 
     A row is only ever computed with its pair, as ``features((x, x2), ...)``
     gives it: a one-row block takes another BLAS path and rounds otherwise.
+    Rows the draw lacks are kept while they, with their keys, fit in
+    ``_ROWS_MAX_BYTES``: two as the rows of the pair's array, one as a copy
+    that does not hold that array. A kept row is never written again, so it
+    is read without the lock.
     """
     S, d = _feature_args([x, x2], S, group)
-    draw = (sampler, d, S, 0)
+    rows = _draw(sampler, d, S, 0)[2]
     g = None if group is None else group.elements.tobytes()
-    keys = [(*draw, g, v.values.tobytes()) for v in (x, x2)]
-    products = _rows.product(keys)
-    if products is None:
-        u, v = features((x, x2), sampler, S, group)
-        for key, row in zip(keys, (u, v)):
-            _rows.put(key, row)
-        products = u * v
+    keys = [(g, v.values.tobytes()) for v in (x, x2)]
+    u, v = (rows.get(key) for key in keys)
+    if u is None or v is None:
+        u, v = pair = features((x, x2), sampler, S, group)
+        size = u.nbytes + len(keys[0][1]) + len(g or b"")  # a row and its key
+        with _keeping:
+            used = sum(r.nbytes + len(k[1]) + len(k[0] or b"") for k, r in rows.items())
+            new = list(dict.fromkeys(k for k in keys if k not in rows))
+            new = new[: (_ROWS_MAX_BYTES - used) // size]
+            if len(new) == 2:
+                rows.update(zip(keys, pair))
+            elif new:
+                rows[new[0]] = pair[keys.index(new[0])].copy()
     else:
         sampler.draw(d, S)  # one draw per call either way; it stays retained
-    return _estimate(products)
+    return _estimate(u * v)
 
 
 def k0_mc(x: Signal, x2: Signal, sampler: TemplateSampler, S: int) -> KernelEstimate:

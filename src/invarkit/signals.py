@@ -35,6 +35,7 @@ class Signal:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        v = v.copy() if v is self.values else v  # read-only, but not the caller's
         if v.ndim != 1 or v.size < 1:
             raise DimensionMismatch("signal must be a 1-d vector with d >= 1")
         # written as "inside the tolerance" so that a NaN entry fails too
@@ -77,6 +78,7 @@ class FiniteGroup:
 
     def __post_init__(self):
         e = np.asarray(self.elements, dtype=np.intp)
+        e = e.copy() if e is self.elements else e  # read-only, but not the caller's
         if e.ndim != 2:
             raise DimensionMismatch("elements must be an (order, d) array")
         e.setflags(write=False)

@@ -191,12 +191,11 @@ def _kernels_checks(cfg: SuiteConfig):
     out.append(_check("kernels.step_numeric_oracle", worst, 1e-3, PROV_DERIVED))
 
     # arc-cosine closed form under Gaussian laws
-    S = max(cfg.samples, 2)
     worst_z = 0.0
     for i in range(20):
         x = normalize(rng.standard_normal(3))
         y = normalize(rng.standard_normal(3))
-        est = kernels.k0_mc(x, y, kernels.TemplateSampler(seed=cfg.seed + i), S)
+        est = kernels.k0_mc(x, y, kernels.TemplateSampler(seed=cfg.seed + i), cfg.samples)
         exact = kernels.arccos1_kernel(
             np.append(x.values, 1.0), np.append(y.values, 1.0)
         )

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import sys
 import threading
 import warnings
@@ -958,8 +957,13 @@ def feature_calls(monkeypatch):
 
 
 def _new_draw():
-    """Make some other draw the retained one, so the memo starts empty."""
+    """Make some other draw the retained one, so the next draw starts with no rows."""
     TemplateSampler(seed=999).draw(1, 2)
+
+
+def _kept_bytes(rows: dict) -> int:
+    """Bytes that a draw's kept rows count against the cap, their keys' included."""
+    return sum(r.nbytes + len(k[1]) + len(k[0] or b"") for k, r in rows.items())
 
 
 class TestRowMemo:
@@ -996,7 +1000,7 @@ class TestRowMemo:
         _new_draw()
         k0_mc(x, y, s, 40)
         TemplateSampler(seed=9).draw(3, 40)
-        assert kernels._rows.rows == {}
+        assert kernels._draw(TemplateSampler(seed=9), 3, 40, 0)[2] == {}
         k0_mc(x, y, s, 40)
         assert feature_calls == [2, 2]
 
@@ -1043,64 +1047,60 @@ class TestRowMemo:
         for a, b in zip(xs, xs[1:]):
             est = k0_mc(a, b, s, S)
             assert est == _estimate(np.prod(features((a, b), s, S), axis=0))
-        memo = kernels._rows
-        kept = sum(r.nbytes for r in memo.rows.values())
-        assert 0 < kept <= memo.nbytes <= kernels._ROWS_MAX_BYTES
-        assert len(memo.rows) < len(xs)
+        rows = kernels._draw(s, 2, S, 0)[2]
+        assert 0 < _kept_bytes(rows) <= kernels._ROWS_MAX_BYTES
+        assert len(rows) < len(xs)
 
-    def test_each_draw_keeps_its_rows_from_the_start_of_one_buffer(self):
-        rng = np.random.default_rng(87)
-        x, y, z = (_unit(rng, 3) for _ in range(3))
-        memo = kernels._rows
-        _new_draw()
-        for seed in (8, 9):
-            s = TemplateSampler(seed=seed)
-            k0_mc(x, y, s, 40)
-            est = k0_mc(y, z, s, 40)
-            assert est == _estimate(np.prod(features((y, z), s, 40), axis=0))
-            kept = list(memo.rows.values())
-            assert len(kept) == 3 and memo.used == 3 * 40
-            assert all(np.shares_memory(r, memo.buffer) for r in kept)
-            assert np.shares_memory(kept[0], memo.buffer[:40])
-
-    def test_rows_of_one_call_are_copied_only_when_a_second_call_comes(self):
+    @pytest.mark.parametrize("group", [None, cyclic_group(3)])
+    def test_a_one_call_draw_keeps_its_two_rows_without_a_copy(self, group):
         rng = np.random.default_rng(89)
-        x, y, z = (_unit(rng, 3) for _ in range(3))
-        memo = kernels._rows
-        for s in (TemplateSampler(seed=8), TemplateSampler(seed=9)):
-            k0_mc(x, y, s, 40)
-            assert memo.used == 0 and len(memo.rows) == 2
-            assert not any(np.shares_memory(r, memo.buffer) for r in memo.rows.values())
-        est = k0_mc(x, z, s, 40)  # the second call on seed 9's draw
-        assert memo.used == 3 * 40
-        assert all(np.shares_memory(r, memo.buffer) for r in memo.rows.values())
-        assert est == _estimate(np.prod(features((x, z), s, 40), axis=0))
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_a_forked_process_writes_to_its_own_buffer(self):
-        buffer = kernels._rows.buffer
-        before = buffer[:4].copy()
-        pid = os.fork()
-        if pid == 0:
-            buffer[:4] = before + 1.0
-            os._exit(0)
-        os.waitpid(pid, 0)
-        assert np.array_equal(buffer[:4], before)
-
-    def test_kept_rows_are_read_under_the_lock(self):
-        rng = np.random.default_rng(88)
         x, y = _unit(rng, 3), _unit(rng, 3)
         s = TemplateSampler(seed=8)
         _new_draw()
-        first = k0_mc(x, y, s, 40)
-        out = []
-        reader = threading.Thread(target=lambda: out.append(k0_mc(x, y, s, 40)))
-        with kernels._rows.lock:  # what a new draw holds while it overwrites rows
-            reader.start()
-            reader.join(timeout=0.05)
-            assert reader.is_alive() and out == []
-        reader.join(timeout=60)
-        assert out == [first]
+        est = kernels._pair_estimate(x, y, s, 40, group)
+        u, v = kernels._draw(s, 3, 40, 0)[2].values()
+        assert u.base is v.base and u.base.shape == (2, 40)  # the pair's rows
+        assert est == _estimate(u * v)
+
+    def test_a_row_added_beside_a_kept_row_owns_its_floats(self):
+        rng = np.random.default_rng(90)
+        x, y, z, w = (_unit(rng, 3) for _ in range(4))
+        s = TemplateSampler(seed=8)
+        _new_draw()
+        k0_mc(x, y, s, 40)
+        est = k0_mc(x, z, s, 40)  # x is kept, z is not
+        k0_mc(w, w, s, 40)  # the diagonal keeps one row too
+        rows = kernels._draw(s, 3, 40, 0)[2]
+        for single in (z, w):
+            row = rows[(None, single.values.tobytes())]
+            assert row.base is None and row.nbytes == 40 * 8
+        assert est == _estimate(np.prod(features((x, z), s, 40), axis=0))
+
+    def test_rows_read_from_a_draw_stay_unchanged_after_another_thread_draws(self):
+        rng = np.random.default_rng(88)
+        x, y, z = (_unit(rng, 3) for _ in range(3))
+        s = TemplateSampler(seed=8)
+        _new_draw()
+        first = [k0_mc(x, y, s, 40), k0_mc(x, z, s, 40)]
+        rows = kernels._draw(s, 3, 40, 0)[2]
+        read = dict(rows)
+        before = {key: row.copy() for key, row in read.items()}
+
+        def other():  # the same signals on a new draw of the same size
+            t = TemplateSampler(seed=9)
+            for a, b in ((x, y), (y, z), (z, x), (x, x)):
+                k0_mc(a, b, t, 40)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert kernels._draw(TemplateSampler(seed=9), 3, 40, 0)[2].keys() == read.keys()
+        assert rows.keys() == read.keys()
+        assert all(rows[key] is row for key, row in read.items())
+        assert all(np.array_equal(read[key], before[key]) for key in read)
+        ux, uy, uz = read.values()
+        assert [_estimate(ux * uy), _estimate(ux * uz)] == first
 
     def test_two_threads_with_different_samplers_match_serial_grams(self):
         rng = np.random.default_rng(86)
@@ -1111,12 +1111,13 @@ class TestRowMemo:
             lambda: gram(pts, lambda a, b: k0_mc(a, b, s2, 64).value),
         ]
         expected = [job().matrix for job in jobs]
-        failures = []
+        failures, kept = [], []
 
         def worker(i):
             for _ in range(10):
                 if not np.array_equal(jobs[i]().matrix, expected[i]):
                     failures.append(i)
+            kept.append(kernels._draw((s1, s2)[i], 4, 64, 0)[2])  # or a new draw's none
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1130,6 +1131,36 @@ class TestRowMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-        memo = kernels._rows
-        sizes = [r.nbytes + len(k[-1]) + len(k[-2] or b"") for k, r in memo.rows.items()]
-        assert memo.nbytes == sum(sizes)  # no insert lost its byte count
+        assert all(_kept_bytes(rows) <= kernels._ROWS_MAX_BYTES for rows in kept)
+
+    def test_threads_on_one_draw_keep_rows_under_the_cap(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        pts = [[_unit(rng, 2) for _ in range(6)] for _ in range(4)]
+        size = 64 * 8 + 16  # a row at S = 64 and its key at d = 2
+        _new_draw()  # no draw below holds rows kept under the real cap
+        monkeypatch.setattr(kernels, "_ROWS_MAX_BYTES", 3 * size + size // 2)
+        overfull = []
+
+        def worker(xs, s, start):
+            start.wait(timeout=60)
+            for a, b in zip(xs, xs[1:]):
+                k0_mc(a, b, s, 64)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(30):
+                s, start = TemplateSampler(seed=seed), threading.Barrier(len(pts))
+                s.draw(2, 64)  # retained before the threads start, so all share it
+                threads = [threading.Thread(target=worker, args=(xs, s, start)) for xs in pts]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                rows = kernels._draw(s, 2, 64, 0)[2]
+                if _kept_bytes(rows) > kernels._ROWS_MAX_BYTES:
+                    overfull.append(seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert overfull == []

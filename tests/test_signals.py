@@ -163,3 +163,26 @@ class TestRestoredArraysStayReadOnly:
         object.__setattr__(x, "values", np.array([1.0, 1.0]))
         with pytest.raises(InvalidArgument):
             round_trip(x)
+
+
+@pytest.mark.parametrize("round_trip", _ROUND_TRIPS.values(), ids=_ROUND_TRIPS)
+class TestCallerArrayStaysWriteable:
+    def test_signal(self, round_trip):
+        a = np.array([1.0, 0.0])
+        x = Signal(a)
+        assert a.flags.writeable and not x.values.flags.writeable
+        a[:] = [0.0, 1.0]  # the caller reuses its buffer
+        assert np.array_equal(x.values, [1.0, 0.0])
+        restored = round_trip(x)
+        assert np.array_equal(restored.values, x.values)
+        assert not restored.values.flags.writeable
+
+    def test_group(self, round_trip):
+        a = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.intp)
+        G = FiniteGroup(a)
+        assert a.flags.writeable and not G.elements.flags.writeable
+        a[:] = 0
+        assert np.array_equal(G.elements, cyclic_group(3).elements[[0, 2, 1]])
+        restored = round_trip(G)
+        assert np.array_equal(restored.elements, G.elements)
+        assert not restored.elements.flags.writeable

@@ -130,3 +130,20 @@ def test_estimate_allocates_no_sample_sized_array():
     products = np.random.default_rng(5).standard_normal(_GRID)
     # np.std allocates the S deviations; the estimate forms them in place
     assert _peak_bytes(lambda: kernels._estimate(products)) / (_GRID * 8) <= _SLACK
+
+
+def test_gram_retains_one_row_per_point():
+    # a row kept beside a kept row is a copy, not a view holding its pair's array
+    m, S = 8, 4096
+    pts = _points(m, 4, seed=7)
+    sampler = TemplateSampler(seed=14)
+    sampler.draw(4, S)  # the draw is retained before the baseline
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gram(pts, lambda a, b: k0_mc(a, b, sampler, S).value)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.1 * m * S * 8
+

@@ -4,8 +4,10 @@
         --out <path> --format json|csv [--config <file>] [--workers <int>]
 
 Config-file values are overridden by explicit flags; unknown config keys
-are rejected. Exit status is 0 iff every non-skipped check passed, and 2
-when an InvarkitError stops the run, e.g. an invalid configuration.
+are rejected. With ``--workers n`` > 1 the suites run in forked worker
+processes, at most one per suite and longest first. Exit status is 0 iff
+every non-skipped check passed, and 2 when an InvarkitError stops the run,
+e.g. an invalid configuration.
 """
 
 from __future__ import annotations

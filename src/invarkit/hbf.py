@@ -510,7 +510,10 @@ def check_capacity(N: int, n: int, d: int, threshold: float = 5.0) -> CapacityRe
     for name, v in (("N", N), ("n", n), ("d", d)):
         _index(name, v, 1)
     _finite("threshold", threshold)
-    ratio = N / (n + n * d)
+    try:
+        ratio = N / (n + n * d)
+    except OverflowError as exc:  # an int ratio beyond float
+        raise InvalidArgument("N / (n + n d) is too large for a float") from exc
     return CapacityReport(ratio=float(ratio), ok=ratio >= threshold)
 
 

@@ -36,13 +36,7 @@ class Signal:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         v = v.copy() if v is self.values else v  # read-only, but not the caller's
-        if v.ndim != 1 or v.size < 1:
-            raise DimensionMismatch("signal must be a 1-d vector with d >= 1")
-        # written as "inside the tolerance" so that a NaN entry fails too
-        if not abs(np.linalg.norm(v) - 1.0) <= _NORM_TOL:
-            raise InvalidArgument("signal is not unit-norm; use normalize()")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _unit_values(v))
 
     @property
     def dim(self) -> int:
@@ -50,6 +44,24 @@ class Signal:
 
     def __array__(self, dtype=None):
         return np.asarray(self.values, dtype=dtype)
+
+
+def _unit_values(v: np.ndarray) -> np.ndarray:
+    """v, a float array no caller holds, checked for unit norm and made read-only."""
+    if v.ndim != 1 or v.size < 1:
+        raise DimensionMismatch("signal must be a 1-d vector with d >= 1")
+    # written as "inside the tolerance" so that a NaN entry fails too
+    if not abs(np.linalg.norm(v) - 1.0) <= _NORM_TOL:
+        raise InvalidArgument("signal is not unit-norm; use normalize()")
+    v.setflags(write=False)
+    return v
+
+
+def _fresh_signal(v: np.ndarray) -> Signal:
+    """A Signal on v, a float array made here for it, without the constructor's copy."""
+    x = object.__new__(Signal)
+    object.__setattr__(x, "values", _unit_values(v))
+    return x
 
 
 def normalize(v) -> Signal:
@@ -61,7 +73,7 @@ def normalize(v) -> Signal:
     n = np.linalg.norm(v)
     if n < 1e-300:
         raise ZeroVector("cannot normalize a zero vector")
-    return Signal(v / n)
+    return _fresh_signal(v / n)
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,7 @@ def apply(g: np.ndarray, x: Signal) -> Signal:
     g = np.asarray(g, dtype=np.intp)
     if g.size != x.dim:
         raise DimensionMismatch(f"element dim {g.size} != signal dim {x.dim}")
-    return Signal(x.values[g])
+    return _fresh_signal(x.values[g])
 
 
 def orbit(G: FiniteGroup, x: Signal) -> Orbit:

@@ -3,7 +3,9 @@
 Each check computes a measured value, compares it against a tolerance, and
 records the provenance of its expected value (paper / derived / trivial).
 Checks are pure functions of (seed, samples), so reports are reproducible
-across runs and worker counts; rows are always sorted by check id.
+across runs and worker counts; rows are always sorted by check id. With
+more than one worker the suites run in forked worker processes, the
+longest first, so that no two suites share one interpreter lock.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
@@ -418,22 +421,40 @@ def _hvq_checks(cfg: SuiteConfig):
     return out
 
 
+# Longest first, so that the two heavy suites start together on two workers.
 _SUITE_FUNCS = {
+    "hbf": _hbf_checks,
+    "kernels": _kernels_checks,
     "mex": _mex_checks,
     "invariance": _invariance_checks,
-    "kernels": _kernels_checks,
     "ramps": _ramps_checks,
-    "hbf": _hbf_checks,
     "hvq": _hvq_checks,
 }
 
 
+def _run_one(name: str, config: SuiteConfig):
+    return _SUITE_FUNCS[name](config)
+
+
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Execute the selected suite(s) and return a canonical, sorted report."""
+    """Execute the selected suite(s) and return a canonical, sorted report.
+
+    With ``config.workers`` > 1 and several suites, the suites run in forked
+    processes, at most one per suite, longest first. A worker inherits the
+    caller's memory as it stands, so call it from a thread that is the only
+    one running. A suite's error reaches the caller with its own type, and
+    no worker outlives the call. Otherwise, and where there is no ``fork``,
+    the suites run in order in the calling process.
+    """
     names = list(_SUITE_FUNCS) if config.suite == "all" else [config.suite]
+    workers = min(config.workers, len(names))  # fork starts every worker at once
     start = time.time()
-    with ThreadPoolExecutor(max_workers=config.workers) as pool_:
-        results = list(pool_.map(lambda nm: _SUITE_FUNCS[nm](config), names))
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        results = [_run_one(name, config) for name in names]
+    else:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool_:
+            results = list(pool_.map(_run_one, names, [config] * len(names)))
     checks = sorted(
         (c for group in results for c in group), key=lambda c: c.check_id
     )

@@ -15,13 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateComposition
+from .errors import DimensionMismatch, DuplicateComposition, InvalidArgument, _index
 
 NO_MATCH = None
 
 
 def _as_key(v) -> tuple:
-    return tuple(int(x) for x in np.asarray(v).ravel())
+    try:
+        return tuple(int(x) for x in np.asarray(v).ravel())
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"pattern entries must be integers, not {v!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,7 @@ def family_from_json(text: str) -> PatternFamily:
 
 def two_part_family(part_length: int) -> PatternFamily:
     """The reference family: two distinct parts and all four ordered pairs."""
+    _index("part_length", part_length, 1)
     if part_length == 1:
         a, b = (1,), (2,)
     else:

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 from dataclasses import asdict
 
@@ -7,7 +8,12 @@ import pytest
 
 from invarkit import cli, suites
 from invarkit.cli import main, parse_config
-from invarkit.errors import InvalidConfig, MalformedFile, SingularSystem
+from invarkit.errors import (
+    DivergenceDetected,
+    InvalidConfig,
+    MalformedFile,
+    SingularSystem,
+)
 from invarkit.suites import (
     CheckResult,
     SuiteConfig,
@@ -214,6 +220,81 @@ class TestReports:
         assert [(c.check_id, c.value) for c in serial.checks] == [
             (c.check_id, c.value) for c in threaded.checks
         ]
+
+
+def _record_pools(monkeypatch):
+    """Stub every suite and run the pool's tasks inline; returns the pool sizes asked for."""
+    for name in suites._SUITE_FUNCS:
+        monkeypatch.setitem(suites._SUITE_FUNCS, name, _one_row(name))
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def _one_row(name):
+    return lambda config: [CheckResult(f"{name}.stub", "pass", 0.0, 0.0, "trivial")]
+
+
+def _diverging(config):
+    raise DivergenceDetected("objective blew up in a worker")
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="suites run serially where there is no fork start method",
+)
+class TestWorkerProcesses:
+    def test_pool_is_never_larger_than_the_suite_count(self, monkeypatch):
+        sizes = _record_pools(monkeypatch)
+        report = run_suite(SuiteConfig(suite="all", workers=10**6))
+        assert sizes == [len(suites._SUITE_FUNCS)] == [6]
+        assert len(report.checks) == 6
+
+    @pytest.mark.parametrize("suite, workers", [("all", 1), ("mex", 8)])
+    def test_one_worker_or_one_suite_starts_no_pool(self, monkeypatch, suite, workers):
+        sizes = _record_pools(monkeypatch)
+        run_suite(SuiteConfig(suite=suite, workers=workers))
+        assert sizes == []
+
+    def test_heavy_suites_start_first(self):
+        assert list(suites._SUITE_FUNCS)[:2] == ["hbf", "kernels"]
+
+    def test_worker_error_keeps_its_type_and_leaves_no_process(self, monkeypatch):
+        # fork carries the patched registry into the workers
+        monkeypatch.setitem(suites._SUITE_FUNCS, "hbf", _diverging)
+        with pytest.raises(DivergenceDetected, match="blew up in a worker"):
+            run_suite(SuiteConfig(suite="all", samples=200, workers=2))
+        assert multiprocessing.active_children() == []
+
+    def test_cli_exits_two_on_a_worker_error(self, monkeypatch, capsys):
+        monkeypatch.setitem(suites._SUITE_FUNCS, "hbf", _diverging)
+        argv = ["run", "--suite", "all", "--samples", "200", "--workers", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: objective blew up in a worker" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_passing_run_leaves_no_process(self, monkeypatch):
+        monkeypatch.setitem(suites._SUITE_FUNCS, "hbf", _one_row("hbf"))
+        report = run_suite(SuiteConfig(suite="all", samples=200, workers=2))
+        assert "hbf.stub" in [c.check_id for c in report.checks]
+        assert "mex.not_psd" in [c.check_id for c in report.checks]
+        assert multiprocessing.active_children() == []
 
 
 class TestMain:

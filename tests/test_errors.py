@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from invarkit import hbf, kernels, pooling, ramps
+from invarkit import hbf, kernels, pooling, ramps, vq
 from invarkit.errors import DimensionMismatch, InvalidArgument, InvarkitError, ZeroVector
 from invarkit.signals import Signal, cyclic_group
 
@@ -85,6 +85,9 @@ _LAYER_JSON = {"dim": 2, "group": "dihedral", "templates": [[1.0, 0.0]], "biases
         lambda: pooling.mex([1.0, 2.0], np.nan),
         lambda: kernels.TemplateSampler(seed=np.array(3)),
         lambda: kernels.TemplateSampler(bias_range=np.array(1.0)),
+        lambda: vq.two_part_family(1.5),
+        lambda: vq.classify(vq.build_vq(vq.two_part_family(2)), "abcd"),
+        lambda: hbf.check_capacity(10**400, 1, 1),
     ],
 )
 def test_bare_value_errors_are_typed(call):

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invarkit import hbf, kernels, pooling, ramps
+from invarkit import hbf, kernels, pooling, ramps, signals
 from invarkit.kernels import TemplateSampler, gram, k0_mc, ktilde_mc
 from invarkit.signals import cyclic_group, normalize
 
@@ -124,6 +124,17 @@ def test_single_signal_forward_makes_no_orbit_gather():
     x = normalize(rng.standard_normal(d))
     gather = d * d * 8  # bytes of one template's (|G|, d) orbit block
     assert _peak_bytes(lambda: pooling.layer_forward(x, layer)) <= gather / 4
+
+
+@pytest.mark.parametrize("make", ["apply", "normalize"])
+def test_new_signal_holds_one_array(make):
+    # the array the function makes is the Signal's own; it is not copied again
+    d = 100_000
+    x = normalize(np.random.default_rng(6).standard_normal(d))
+    g = np.roll(np.arange(d), 1)
+    raw = 2.0 * x.values
+    call = {"apply": lambda: signals.apply(g, x), "normalize": lambda: normalize(raw)}
+    assert _peak_bytes(call[make]) / (d * 8) <= 1 + _SLACK
 
 
 def test_estimate_allocates_no_sample_sized_array():

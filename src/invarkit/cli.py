@@ -4,8 +4,8 @@
         --out <path> --format json|csv [--config <file>] [--workers <int>]
 
 Config-file values are overridden by explicit flags; unknown config keys
-are rejected. With ``--workers n`` > 1 the suites run in forked worker
-processes, at most one per suite and longest first. Exit status is 0 iff
+are rejected. With ``--workers n`` > 1 the suites' jobs run in forked
+worker processes, at most one per job and longest first. Exit status is 0 iff
 every non-skipped check passed, and 2 when an InvarkitError stops the run,
 e.g. an invalid configuration.
 """

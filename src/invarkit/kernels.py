@@ -28,7 +28,6 @@ from .errors import (
     _index,
 )
 from .pooling import mex
-from .ramps import step_approx
 from .signals import FiniteGroup, Signal, cyclic_group, normalize
 
 TEMPLATE_LAWS = ("gaussian", "uniform_sphere")
@@ -288,16 +287,29 @@ def step_kernel_numeric(
 
     The step is replaced by its ramp approximation ``ramps.step_approx``,
     alpha * (|s|_+ - |s - 1/alpha|_+), and the product integrated on a
-    uniform b-grid. The second factor is multiplied into the first in place.
+    uniform b-grid. All of it runs in one (3, grid_points) block made per
+    call, whose rows hold the integrand, the second step and the shifted
+    grid. One block, not several grid-sized arrays, because glibc raises
+    its mmap and trim thresholds once a block this large is freed, so the
+    next calls reuse heap memory instead of faulting in fresh pages. Each
+    step is formed in ``step_approx``'s order of operations, so the value
+    is the same bit for bit.
     """
     _index("grid_points", grid_points, 1000)
     _check_projections(xs, xs2, p)
+    _finite("alpha", alpha, 0.0)
 
     b = _grid(p, grid_points)
-    integrand = step_approx(b - xs, alpha)
-    integrand *= step_approx(b - xs2, alpha)
+    integrand, step, s = np.empty((3, grid_points))
+    for out, x in ((integrand, xs), (step, xs2)):
+        np.subtract(b, x, out=s)
+        np.maximum(s, 0.0, out=out)
+        s -= 1.0 / alpha
+        out -= np.maximum(s, 0.0, out=s)
+        out *= alpha
+    integrand *= step
     # np.trapezoid(integrand, b), in its order of operations
-    mid = integrand[1:] + integrand[:-1]
+    mid = np.add(integrand[1:], integrand[:-1], out=s[:-1])
     mid *= _spacing(p, grid_points)
     mid /= 2.0
     return float(mid.sum())
@@ -486,12 +498,21 @@ def selectivity_scan(orbits, kernel) -> SelectivityReport:
     """Compare normalized kernel values within and across orbits.
 
     The caller guarantees an invariant (group-averaged) kernel; values are
-    normalized as K(x,y) / sqrt(K(x,x) K(y,y)).
+    normalized as K(x,y) / sqrt(K(x,x) K(y,y)), so every K(x,x) must be
+    positive; InvalidArgument names the first member whose value is not.
     """
     members = [m for orb in orbits for m in orb.members]
     label = np.repeat(np.arange(len(orbits)), [len(orb.members) for orb in orbits])
     K = _kernel_matrix(members, kernel)
     diag = np.diag(K)
+    bad = np.flatnonzero(~(diag > 0))  # NaN is not positive either
+    if bad.size:
+        i = bad[0]
+        k = i - np.flatnonzero(label == label[i])[0]
+        raise InvalidArgument(
+            f"K(x, x) = {diag[i]!r} for member {k} of orbit {label[i]}; "
+            "normalizing needs K(x, x) > 0"
+        )
     khat = K / np.sqrt(diag[:, None] * diag[None, :])
     # distinct-orbit pairs (a in orbit i, b in orbit j) are read for i < j only
     same = label[:, None] == label[None, :]

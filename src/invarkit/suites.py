@@ -3,9 +3,10 @@
 Each check computes a measured value, compares it against a tolerance, and
 records the provenance of its expected value (paper / derived / trivial).
 Checks are pure functions of (seed, samples), so reports are reproducible
-across runs and worker counts; rows are always sorted by check id. With
-more than one worker the suites run in forked worker processes, the
-longest first, so that no two suites share one interpreter lock.
+across runs and worker counts; rows are always sorted by check id. A
+suite is one or more jobs: check builders that share no generator.
+With more than one worker the jobs run in forked worker processes, the
+longest first, so that no two jobs share one interpreter lock.
 """
 
 from __future__ import annotations
@@ -273,13 +274,11 @@ def _ramps_checks(cfg: SuiteConfig):
 
 
 # ---------------------------------------------------------------------------
-# hbf suite
+# hbf suite: four jobs, each check seeding its own generator
 
 
-def _hbf_checks(cfg: SuiteConfig):
-    out = []
-
-    # analytic gradients vs central finite differences
+def _gradient_fd_checks(cfg: SuiteConfig):
+    """Analytic gradients against central finite differences."""
     worst = 0.0
     for s in range(100):
         r = np.random.default_rng(cfg.seed * 1000 + s)
@@ -293,9 +292,11 @@ def _hbf_checks(cfg: SuiteConfig):
             inputs=r.standard_normal((N, d)), targets=r.standard_normal(N)
         )
         worst = max(worst, _gradient_fd_error(model, data))
-    out.append(_check("hbf.gradient_fd", worst, 1e-5, PROV_DERIVED))
+    return [_check("hbf.gradient_fd", worst, 1e-5, PROV_DERIVED)]
 
-    # interpolation recovery, n = N = 20, d = 2
+
+def _interpolation_checks(cfg: SuiteConfig):
+    """Interpolation recovery, n = N = 20, d = 2."""
     r = np.random.default_rng(cfg.seed + 1)
     X = r.standard_normal((20, 2))
     y = r.standard_normal(20)
@@ -307,26 +308,27 @@ def _hbf_checks(cfg: SuiteConfig):
         lam=1e-12,
     )
     sr = hbf.solve_coeffs(model, data)
-    out.append(_check("hbf.interpolation", sr.max_residual, 1e-6, PROV_PAPER))
+    return [_check("hbf.interpolation", sr.max_residual, 1e-6, PROV_PAPER)]
 
-    # moving centers beat the fixed-center baseline on the sin task
+
+def _sin_task_checks(cfg: SuiteConfig):
+    """Moving centers beat the fixed-center baseline on the sin task."""
     moving, fixed, fp = sin_task_benchmark(seed=7)
-    out.append(
+    return [
         _check(
             "hbf.moving_centers_benefit",
             moving - fixed,
             0.0,
             PROV_DERIVED,
             ok=moving < fixed,
-        )
-    )
-    out.append(_check("hbf.center_fixed_point", fp, 1e-6, PROV_DERIVED))
+        ),
+        _check("hbf.center_fixed_point", fp, 1e-6, PROV_DERIVED),
+    ]
 
+
+def _capacity_checks(cfg: SuiteConfig):
     cap = hbf.check_capacity(100, 5, 3)
-    out.append(
-        _check("hbf.capacity_rule", cap.ratio, 5.0, PROV_PAPER, ok=cap.ok)
-    )
-    return out
+    return [_check("hbf.capacity_rule", cap.ratio, 5.0, PROV_PAPER, ok=cap.ok)]
 
 
 def _gradient_fd_error(model, data) -> float:
@@ -421,40 +423,48 @@ def _hvq_checks(cfg: SuiteConfig):
     return out
 
 
-# Longest first, so that the two heavy suites start together on two workers.
-_SUITE_FUNCS = {
-    "hbf": _hbf_checks,
+# One job per key, the longest first, so that the sin task and the kernels
+# suite start together on two workers. A key names its suite before any dot.
+# The kernels suite is one job because its checks draw from one generator.
+_JOBS = {
+    "hbf.sin_task": _sin_task_checks,
     "kernels": _kernels_checks,
-    "mex": _mex_checks,
+    "hbf.gradient_fd": _gradient_fd_checks,
     "invariance": _invariance_checks,
     "ramps": _ramps_checks,
+    "mex": _mex_checks,
     "hvq": _hvq_checks,
+    "hbf.interpolation": _interpolation_checks,
+    "hbf.capacity_rule": _capacity_checks,
 }
 
 
-def _run_one(name: str, config: SuiteConfig):
-    return _SUITE_FUNCS[name](config)
+def _run_job(key: str, config: SuiteConfig):
+    return _JOBS[key](config)
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the selected suite(s) and return a canonical, sorted report.
 
-    With ``config.workers`` > 1 and several suites, the suites run in forked
-    processes, at most one per suite, longest first. A worker inherits the
-    caller's memory as it stands, so call it from a thread that is the only
-    one running. A suite's error reaches the caller with its own type, and
-    no worker outlives the call. Otherwise, and where there is no ``fork``,
-    the suites run in order in the calling process.
+    The unit of work is a job: one check builder of ``_JOBS``, the longest
+    first. The hbf suite is four jobs, with the sin task its own; every
+    other suite is one. With ``config.workers`` > 1 and several jobs, the
+    jobs run in forked processes, at most one per job. A worker inherits
+    the caller's memory as it stands, so call it from a thread that is the
+    only one running. A job's error reaches the caller with its own type,
+    and no worker outlives the call. Otherwise, and where there is no
+    ``fork``, the jobs run in order in the calling process.
     """
-    names = list(_SUITE_FUNCS) if config.suite == "all" else [config.suite]
-    workers = min(config.workers, len(names))  # fork starts every worker at once
+    keys = [k for k in _JOBS if config.suite in ("all", k.partition(".")[0])]
+    workers = min(config.workers, len(keys))  # fork starts every worker at once
     start = time.time()
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        results = [_run_one(name, config) for name in names]
+        results = [_run_job(key, config) for key in keys]
     else:
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context) as pool_:
-            results = list(pool_.map(_run_one, names, [config] * len(names)))
+            # keys, not builders, go to the workers: fork carries the registry
+            results = list(pool_.map(_run_job, keys, [config] * len(keys)))
     checks = sorted(
         (c for group in results for c in group), key=lambda c: c.check_id
     )

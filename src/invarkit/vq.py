@@ -20,11 +20,9 @@ from .errors import DimensionMismatch, DuplicateComposition, InvalidArgument, _i
 NO_MATCH = None
 
 
-def _as_key(v) -> tuple:
-    try:
-        return tuple(int(x) for x in np.asarray(v).ravel())
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgument(f"pattern entries must be integers, not {v!r}") from exc
+def _as_key(v, what: str = "pattern entry") -> tuple:
+    """v's entries as ints; InvalidArgument for a float (2.0 too), str or bool."""
+    return tuple(_index(what, x) for x in np.asarray(v, dtype=object).ravel())
 
 
 @dataclass(frozen=True)
@@ -36,13 +34,17 @@ class PatternFamily:
     compositions: tuple  # of (part_index, part_index)
 
     def __post_init__(self):
+        length = _index("part_length", self.part_length, 1)
+        object.__setattr__(self, "part_length", length)
         parts = tuple(_as_key(p) for p in self.parts)
-        comps = tuple((int(i), int(j)) for i, j in self.compositions)
+        comps = tuple(_as_key(c, "composition index") for c in self.compositions)
         if len(set(parts)) != len(parts):
             raise DuplicateComposition("parts must be distinct")
         for p in parts:
             if len(p) != self.part_length:
                 raise DimensionMismatch("part length mismatch")
+        if any(len(c) != 2 for c in comps):
+            raise DimensionMismatch("a composition is a (part, part) index pair")
         for i, j in comps:
             if not (0 <= i < len(parts) and 0 <= j < len(parts)):
                 raise DuplicateComposition(f"composition ({i},{j}) references a missing part")
@@ -100,6 +102,7 @@ def build_hvq(family: PatternFamily) -> HVQCodebook:
 
 def memory_cost(codebook, index_weight: int = 1) -> int:
     """Stored scalars: full vectors for VQ, parts plus 2-index rows for HVQ."""
+    index_weight = _index("index_weight", index_weight, 0)
     if isinstance(codebook, VQCodebook):
         return len(codebook.entries) * codebook.full_length
     return (
@@ -147,7 +150,7 @@ def family_to_json(family: PatternFamily) -> str:
 def family_from_json(text: str) -> PatternFamily:
     doc = json.loads(text)
     return PatternFamily(
-        part_length=int(doc["part_length"]),
+        part_length=doc["part_length"],
         parts=tuple(tuple(p) for p in doc["parts"]),
         compositions=tuple(tuple(c) for c in doc["compositions"]),
     )

@@ -223,9 +223,9 @@ class TestReports:
 
 
 def _record_pools(monkeypatch):
-    """Stub every suite and run the pool's tasks inline; returns the pool sizes asked for."""
-    for name in suites._SUITE_FUNCS:
-        monkeypatch.setitem(suites._SUITE_FUNCS, name, _one_row(name))
+    """Stub every job and run the pool's tasks inline; returns the pool sizes asked for."""
+    for key in suites._JOBS:
+        monkeypatch.setitem(suites._JOBS, key, _one_row(key))
     sizes = []
 
     class InlinePool:
@@ -258,11 +258,14 @@ def _diverging(config):
     reason="suites run serially where there is no fork start method",
 )
 class TestWorkerProcesses:
-    def test_pool_is_never_larger_than_the_suite_count(self, monkeypatch):
+    def test_pool_is_never_larger_than_the_job_count(self, monkeypatch):
         sizes = _record_pools(monkeypatch)
         report = run_suite(SuiteConfig(suite="all", workers=10**6))
-        assert sizes == [len(suites._SUITE_FUNCS)] == [6]
-        assert len(report.checks) == 6
+        assert sizes == [len(suites._JOBS)] == [9]
+        assert len(report.checks) == 9
+        # the hbf suite alone is four jobs
+        assert len(run_suite(SuiteConfig(suite="hbf", workers=10**6)).checks) == 4
+        assert sizes == [9, 4]
 
     @pytest.mark.parametrize("suite, workers", [("all", 1), ("mex", 8)])
     def test_one_worker_or_one_suite_starts_no_pool(self, monkeypatch, suite, workers):
@@ -270,18 +273,18 @@ class TestWorkerProcesses:
         run_suite(SuiteConfig(suite=suite, workers=workers))
         assert sizes == []
 
-    def test_heavy_suites_start_first(self):
-        assert list(suites._SUITE_FUNCS)[:2] == ["hbf", "kernels"]
+    def test_heavy_jobs_start_first(self):
+        assert list(suites._JOBS)[:2] == ["hbf.sin_task", "kernels"]
 
     def test_worker_error_keeps_its_type_and_leaves_no_process(self, monkeypatch):
         # fork carries the patched registry into the workers
-        monkeypatch.setitem(suites._SUITE_FUNCS, "hbf", _diverging)
+        monkeypatch.setitem(suites._JOBS, "hbf.sin_task", _diverging)
         with pytest.raises(DivergenceDetected, match="blew up in a worker"):
             run_suite(SuiteConfig(suite="all", samples=200, workers=2))
         assert multiprocessing.active_children() == []
 
     def test_cli_exits_two_on_a_worker_error(self, monkeypatch, capsys):
-        monkeypatch.setitem(suites._SUITE_FUNCS, "hbf", _diverging)
+        monkeypatch.setitem(suites._JOBS, "hbf.sin_task", _diverging)
         argv = ["run", "--suite", "all", "--samples", "200", "--workers", "2"]
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -290,11 +293,21 @@ class TestWorkerProcesses:
         assert multiprocessing.active_children() == []
 
     def test_passing_run_leaves_no_process(self, monkeypatch):
-        monkeypatch.setitem(suites._SUITE_FUNCS, "hbf", _one_row("hbf"))
+        monkeypatch.setitem(suites._JOBS, "hbf.sin_task", _one_row("hbf"))
         report = run_suite(SuiteConfig(suite="all", samples=200, workers=2))
         assert "hbf.stub" in [c.check_id for c in report.checks]
         assert "mex.not_psd" in [c.check_id for c in report.checks]
         assert multiprocessing.active_children() == []
+
+    def test_hbf_jobs_in_two_workers_give_the_rows_of_one(self, tmp_path):
+        rows = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.json"
+            argv = ["run", "--suite", "hbf", "--workers", str(workers)]
+            assert main([*argv, "--out", str(out)]) == 0
+            rows.append(json.loads(out.read_text())["checks"])
+        assert rows[0] == rows[1]
+        assert len(rows[0]) == 5
 
 
 class TestMain:
@@ -345,7 +358,7 @@ class TestMain:
         def singular(config):
             raise SingularSystem("normal equations unsolvable after jitter")
 
-        monkeypatch.setitem(suites._SUITE_FUNCS, "ramps", singular)
+        monkeypatch.setitem(suites._JOBS, "ramps", singular)
         assert main(["run", "--suite", "ramps"]) == 2
         err = capsys.readouterr().err
         assert "error: normal equations unsolvable" in err

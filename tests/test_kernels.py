@@ -660,6 +660,17 @@ class TestSelectivityMatchesPairwiseReference:
         self._assert_matches([orbits[0], lone], kernel)
         self._assert_matches([lone, orbits[0]], kernel)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    def test_non_positive_diagonal_names_its_member(self, value):
+        M = np.eye(5)
+        M[3, 3] = value
+        orbits = [Orbit(representative=0, members=[0, 1]),
+                  Orbit(representative=2, members=[2, 3, 4])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument, match="member 1 of orbit 1"):
+                selectivity_scan(orbits, _table_kernel(M))
+
     def test_suite_setup_makes_one_call_per_member_pair(self):
         orbits, kernel = _suite_step_setup()
         calls = []

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from invarkit.errors import DimensionMismatch, DuplicateComposition
+from invarkit.errors import DimensionMismatch, DuplicateComposition, InvalidArgument
 from invarkit.vq import (
     NO_MATCH,
     PatternFamily,
@@ -64,6 +64,29 @@ class TestBuild:
         with pytest.raises(DuplicateComposition):
             build_hvq(fam)
 
+    @pytest.mark.parametrize(
+        "parts, comps, what",
+        [
+            (((1.5,), (2,)), ((0, 1),), "pattern entry"),
+            ((("1",), (2,)), ((0, 1),), "pattern entry"),
+            (((1,), (2,)), ((0.5, 1),), "composition index"),
+        ],
+    )
+    def test_family_refuses_non_integers(self, parts, comps, what):
+        with pytest.raises(InvalidArgument, match=what):
+            PatternFamily(part_length=1, parts=parts, compositions=comps)
+
+    @pytest.mark.parametrize("part_length", [1.0, True, "1", 0])
+    def test_family_refuses_a_part_length_that_is_not_a_positive_integer(
+        self, part_length
+    ):
+        with pytest.raises(InvalidArgument, match="part_length"):
+            PatternFamily(part_length, parts=((1,), (2,)), compositions=((0, 1),))
+
+    def test_family_refuses_a_composition_that_is_not_a_pair(self):
+        with pytest.raises(DimensionMismatch):
+            PatternFamily(part_length=1, parts=((1,), (2,)), compositions=((0, 1, 1),))
+
 
 class TestMemoryCost:
     def test_reference_costs_n16(self):
@@ -90,6 +113,17 @@ class TestMemoryCost:
     def test_index_weight_configurable(self):
         fam = two_part_family(4)
         assert memory_cost(build_hvq(fam), index_weight=2) == 2 * 4 + 16
+
+    @pytest.mark.parametrize("weight", [float("nan"), 1.5, -1, True, "2"])
+    @pytest.mark.parametrize("build", [build_vq, build_hvq])
+    def test_index_weight_must_be_a_nonnegative_integer(self, build, weight):
+        with pytest.raises(InvalidArgument, match="index_weight"):
+            memory_cost(build(two_part_family(4)), weight)
+
+    def test_index_weight_zero_counts_the_parts_alone(self):
+        fam = two_part_family(4)
+        assert memory_cost(build_hvq(fam), np.int64(0)) == 2 * 4
+        assert memory_cost(build_vq(fam), 0) == 4 * 8
 
     def test_ratio_improves_with_part_length(self):
         ratios = [
@@ -124,6 +158,20 @@ class TestClassify:
         assert classify(hier, (2, 1)) is NO_MATCH
         assert classify(hier, (1, 2)) == 0
 
+    # an entry that int() would truncate or parse is refused, not matched;
+    # integral floats are refused too, as everywhere an integer is asked for
+    @pytest.mark.parametrize(
+        "probe", [[1.7, 2.2], ["1", "2"], [1.0, 2.0], [True, 2], np.array([1.0, 2.0])]
+    )
+    @pytest.mark.parametrize("build", [build_vq, build_hvq])
+    def test_non_integer_entries_rejected(self, build, probe):
+        with pytest.raises(InvalidArgument, match="pattern entry"):
+            classify(build(two_part_family(1)), probe)
+
+    @pytest.mark.parametrize("probe", [(1, 2), np.array([1, 2], dtype=np.uint8)])
+    def test_integer_entries_of_any_kind_match(self, probe):
+        assert classify(build_vq(two_part_family(1)), probe) == 0
+
     def test_wrong_length_rejected(self):
         fam = _reference_family()
         with pytest.raises(DimensionMismatch):
@@ -156,6 +204,12 @@ class TestSerialization:
         fam = _reference_family()
         restored = family_from_json(family_to_json(fam))
         assert restored == fam
+
+    @pytest.mark.parametrize("length", ["1.7", '"x"'])
+    def test_family_from_json_refuses_a_non_integer_part_length(self, length):
+        text = f'{{"part_length": {length}, "parts": [[1], [2]], "compositions": [[0, 1]]}}'
+        with pytest.raises(InvalidArgument, match="part_length"):
+            family_from_json(text)
 
     def test_sweep_csv(self, tmp_path):
         rows = memory_sweep([2, 4, 8])

@@ -9,11 +9,17 @@ second. Memory traffic is bounded too, by the peak of the bytes that
 to it), so a change that brings back a temporary array fails as well.
 """
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invarkit
 from invarkit import hbf, kernels, pooling, ramps, signals
 from invarkit.kernels import TemplateSampler, gram, k0_mc, ktilde_mc
 from invarkit.signals import cyclic_group, normalize
@@ -110,9 +116,51 @@ def test_step_approx_allocates_two_arrays():
 
 
 def test_step_kernel_numeric_holds_at_most_five_grid_arrays():
-    # the grid, a shifted grid, the integrand and step_approx's two arrays
+    # a first call: the grid, the three-row work block and the spacing
+    kernels._grid.cache_clear()
+    kernels._spacing.cache_clear()
     peak = _peak_grid_arrays(lambda: kernels.step_kernel_numeric(0.2, -0.3, 1.0))
     assert peak <= 5 + _SLACK
+
+
+def test_step_kernel_numeric_on_a_kept_grid_holds_its_work_block_alone():
+    kernels.step_kernel_numeric(0.1, 0.4, 1.0)  # keeps the grid and its spacing
+    peak = _peak_grid_arrays(lambda: kernels.step_kernel_numeric(0.2, -0.3, 1.0))
+    assert peak <= 3 + _SLACK
+
+
+# The kernels suite's step-oracle loop in a fresh interpreter, whose
+# allocator starts as a forked suite worker's does: arrays that it maps and
+# unmaps on every call would be faulted in again on every call.
+_ORACLE_LOOP = """
+import resource
+import numpy as np
+from invarkit import kernels
+rng = np.random.default_rng(0)
+rng.uniform(-1, 1, (10_000, 2))  # the suite's step-identity draw comes first
+pairs = rng.uniform(-1, 1, (100, 2))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for a, b in pairs:
+    kernels.step_kernel_numeric(a, b, 1.0, 100_000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="the ceiling rests on glibc's adaptive mmap and trim thresholds",
+)
+def test_step_oracle_loop_in_a_fresh_process_takes_few_page_faults():
+    src = str(Path(invarkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _ORACLE_LOOP],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(out.stdout) < 10_000  # a grid array is ~200 pages
 
 
 def test_single_signal_forward_makes_no_orbit_gather():

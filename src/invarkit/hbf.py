@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionMismatch,
@@ -30,6 +29,21 @@ from .errors import (
 )
 
 _JITTER_FLOOR = 1e-12
+
+
+def __getattr__(name):
+    # hbf.cdist is scipy's, imported on first use (~0.3 s, ~36 MB) and left
+    # unbound, so that a patch or a tracer's wrapper bound later is seen
+    if name == "cdist":
+        from scipy.spatial.distance import cdist
+
+        return cdist
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _cdist():
+    """hbf.cdist as bound at call time, else scipy's."""
+    return globals().get("cdist") or __getattr__("cdist")
 
 
 @dataclass(frozen=True)
@@ -131,12 +145,14 @@ def _sq_dist(X: np.ndarray, t: np.ndarray):
     cdist call, and the (N, n) differences are returned for the center
     gradient. For d >= 2 (or unequal dims, which cdist rejects) cdist's
     single pass is faster, and a sum over columns would depend on cdist's
-    order of summation; the differences are then None.
+    order of summation; the differences are then None. cdist is whatever
+    hbf.cdist is at the call, so the first d >= 2 call imports
+    scipy.spatial and d = 1 never does.
     """
     if X.shape[1] == t.shape[1] == 1:
         diff = X - t.T
         return diff * diff, diff
-    return cdist(X, t, "sqeuclidean"), None
+    return _cdist()(X, t, "sqeuclidean"), None
 
 
 def _design(model: HBFModel, X: np.ndarray) -> np.ndarray:
@@ -256,7 +272,7 @@ def solve_coeffs(model: HBFModel, data: TrainingSet) -> SolveResult:
 def median_pairwise_distance(X) -> float:
     """Default radial width: median pairwise distance of the inputs."""
     X = _points(X)
-    D = cdist(X, X)
+    D = _cdist()(X, X)
     vals = D[np.triu_indices_from(D, k=1)]
     med = float(np.median(vals)) if vals.size else 1.0
     return med if med > 0 else 1.0

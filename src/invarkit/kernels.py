@@ -383,11 +383,16 @@ def gram(points, kernel) -> GramReport:
     """Build the full kernel matrix and test positive semidefiniteness.
 
     psd_pass allows eigenvalues down to -1e-8 relative to the largest one
-    (floating-point slack).
+    (floating-point slack). A non-finite entry raises InvalidArgument naming
+    the first such (i, j), before the matrix is tested for symmetry.
     """
     if len(points) < 2:
         raise InvalidArgument("need at least 2 points")
     K = _kernel_matrix(points, kernel)
+    bad = np.argwhere(~np.isfinite(K))
+    if bad.size:
+        i, j = bad[0]
+        raise InvalidArgument(f"K({i},{j}) = {K[i, j]} is not finite")
     asym = np.argwhere(np.triu(np.abs(K - K.T) > 1e-9))
     if asym.size:
         i, j = asym[0]

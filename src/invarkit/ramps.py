@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, SingularDesign, _finite, _index
+from .errors import InvalidArgument, SingularDesign, _finite, _index, _reals
 
 
 def abs_identity(s):
@@ -44,7 +44,7 @@ def hat_via_ramps(s, w: float):
     (1/w) * (|s+w|_+ - 2|s|_+ + |s-w|_+): zero outside [-w, w], peak 1 at 0.
     """
     _finite("half-width w", w, 0.0)
-    s = np.asarray(s, dtype=float)
+    s = _reals("s", s)
     out = (
         np.maximum(s + w, 0.0) - 2.0 * np.maximum(s, 0.0) + np.maximum(s - w, 0.0)
     ) / w

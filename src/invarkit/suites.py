@@ -451,9 +451,11 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     other suite is one. With ``config.workers`` > 1 and several jobs, the
     jobs run in forked processes, at most one per job. A worker inherits
     the caller's memory as it stands, so call it from a thread that is the
-    only one running. A job's error reaches the caller with its own type,
-    and no worker outlives the call. Otherwise, and where there is no
-    ``fork``, the jobs run in order in the calling process.
+    only one running, and it loads ``hbf.cdist`` (scipy.spatial) first, so
+    that the workers inherit it instead of each importing it again. A
+    job's error reaches the caller with its own type, and no worker
+    outlives the call. Otherwise, and where there is no ``fork``, the jobs
+    run in order in the calling process.
     """
     keys = [k for k in _JOBS if config.suite in ("all", k.partition(".")[0])]
     workers = min(config.workers, len(keys))  # fork starts every worker at once
@@ -462,6 +464,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         results = [_run_job(key, config) for key in keys]
     else:
         context = multiprocessing.get_context("fork")
+        hbf.cdist  # imported here once, not in each worker
         with ProcessPoolExecutor(workers, mp_context=context) as pool_:
             # keys, not builders, go to the workers: fork carries the registry
             results = list(pool_.map(_run_job, keys, [config] * len(keys)))

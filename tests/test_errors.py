@@ -208,8 +208,26 @@ _TEMPLATE = Signal(np.array([1.0, 0.0]))
         (lambda: hbf.hbf_eval_batch(_ONE_CENTER, [[1.0 + 1.0j]]), InvalidArgument),
         (lambda: hbf.hbf_eval_batch(_ONE_CENTER, np.zeros((2, 1, 1))), DimensionMismatch),
         (lambda: hbf.median_pairwise_distance([[np.nan], [1.0]]), InvalidArgument),
+        (lambda: ramps.hat_via_ramps(np.nan, 1.0), InvalidArgument),
+        (lambda: ramps.hat_via_ramps(np.inf, 1.0), InvalidArgument),
+        (lambda: ramps.hat_via_ramps(-np.inf, 1.0), InvalidArgument),
+        (lambda: ramps.hat_via_ramps([0.0, np.nan], 1.0), InvalidArgument),
     ],
 )
 def test_non_finite_and_zero_inputs_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize(
+    "cells, first", [({(1, 2), (2, 1)}, "K(1,2)"), ({(2, 1)}, "K(2,1)"), ({(0, 0)}, "K(0,0)")]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_names_the_first_non_finite_entry(cells, first, bad):
+    # a NaN matrix reached eigvalsh, which raised LinAlgError
+    def kernel(i, j):
+        return bad if (i, j) in cells else float(i == j)
+
+    with pytest.raises(InvalidArgument) as err:
+        kernels.gram([0, 1, 2], kernel)
+    assert f"{first} = {bad} is not finite" in str(err.value)

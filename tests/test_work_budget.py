@@ -9,6 +9,8 @@ second. Memory traffic is bounded too, by the peak of the bytes that
 to it), so a change that brings back a temporary array fails as well.
 """
 
+import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -33,7 +35,10 @@ def _counter(monkeypatch, owner, name):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
+    if name in vars(owner):
+        monkeypatch.setattr(owner, name, counted)
+    else:  # a name that a module __getattr__ serves stays unbound after the test
+        monkeypatch.setitem(vars(owner), name, counted)
     return calls
 
 
@@ -74,7 +79,8 @@ def test_one_layer_forward_per_invariance_gap(monkeypatch):
 
 @pytest.mark.parametrize("d, per_step", [(1, 0), (2, 2)])
 def test_cdist_calls_per_train_step(monkeypatch, d, per_step):
-    # at d = 1 the distances are one difference squared; cdist serves d >= 2
+    # at d = 1 the distances are one difference squared; cdist serves d >= 2,
+    # at least once a step, so distances that stop calling hbf.cdist fail
     rng = np.random.default_rng(6)
     data = hbf.TrainingSet(rng.standard_normal((30, d)), rng.standard_normal(30))
     model = hbf.HBFModel(rng.standard_normal((4, d)), rng.standard_normal(4), 1.0)
@@ -84,7 +90,7 @@ def test_cdist_calls_per_train_step(monkeypatch, d, per_step):
     _, trace = hbf.train(model, data, cfg)
     assert trace.iterations.size == steps
     # one more for the starting objective, when distances take cdist at all
-    assert len(calls) <= per_step * steps + (per_step > 0)
+    assert (per_step > 0) * steps <= len(calls) <= per_step * steps + (per_step > 0)
 
 
 _GRID = 100_000  # step_kernel_numeric's default grid_points
@@ -146,21 +152,103 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+def _fresh(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this invarkit."""
+    src = str(Path(invarkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 @pytest.mark.skipif(
     platform.libc_ver()[0] != "glibc",
     reason="the ceiling rests on glibc's adaptive mmap and trim thresholds",
 )
 def test_step_oracle_loop_in_a_fresh_process_takes_few_page_faults():
-    src = str(Path(invarkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _ORACLE_LOOP],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert int(out.stdout) < 10_000  # a grid array is ~200 pages
+    assert int(_fresh(_ORACLE_LOOP)) < 10_000  # a grid array is ~200 pages
+
+
+# scipy.spatial costs ~0.3 s and ~36 MB at import, and only HBF distances at
+# d >= 2 use it: each step notes whether it is loaded after the step's calls.
+_SCIPY_SPATIAL_STEPS = """
+import json, sys
+import numpy as np
+loaded = {}
+def note(step):
+    loaded[step] = "scipy.spatial" in sys.modules
+import invarkit
+note("import invarkit")
+from invarkit import hbf, kernels, pooling, ramps, suites, vq
+from invarkit.signals import cyclic_group, normalize
+rng = np.random.default_rng(0)
+x, t = (normalize(rng.standard_normal(8)) for _ in range(2))
+layer = pooling.HWLayer((x,), (0.0, 0.2), cyclic_group(8), pooling.PoolingSpec("max"))
+e = normalize([1.0, 0.0])
+top = pooling.HWLayer((e,), (0.0,), cyclic_group(2), pooling.PoolingSpec("mean"))
+pooling.layer_forward(x, layer)
+pooling.network_forward(x, pooling.HWNetwork((layer, top)))
+pooling.invariance_gap(x, layer)
+note("pooling")
+sampler = kernels.TemplateSampler(seed=1)
+kernels.gram([x, t], lambda a, b: kernels.k0_mc(a, b, sampler, 64).value)
+G = cyclic_group(8)
+kernels.gram([x, t], lambda a, b: kernels.ktilde_mc(a, b, G, sampler, 64).value)
+note("kernels")
+ramps.fit_ramp_combination(abs, (-1.0, 1.0, 40), 4)
+family = vq.two_part_family(2)
+vq.classify(vq.build_hvq(family), family.pattern(0))
+note("ramps and vq")
+suites.sin_task_benchmark()
+note("sin task")
+for suite in ("kernels", "mex", "invariance", "ramps", "hvq"):
+    suites.run_suite(suites.SuiteConfig(suite, samples=2000))
+    note(f"{suite} suite")
+model = hbf.HBFModel(np.zeros((2, 2)), np.ones(2), 1.0)
+hbf.objective(model, hbf.TrainingSet(rng.standard_normal((3, 2)), np.zeros(3)))
+note("objective at d = 2")
+print(json.dumps(loaded))
+print("cdist" in vars(hbf))
+"""
+
+
+def test_scipy_spatial_loads_at_the_first_distance_at_d_2_alone():
+    steps, bound = _fresh(_SCIPY_SPATIAL_STEPS).splitlines()
+    loaded = json.loads(steps)
+    assert len(loaded) == 11
+    assert loaded == {step: step == "objective at d = 2" for step in loaded}
+    # not cached as a binding: a tracer installed later sees what one before did
+    assert bound == "False"
+
+
+_PROBED_SUITES = """
+import sys
+from invarkit import suites
+def probe(cfg):
+    loaded = "scipy.spatial" in sys.modules
+    return [suites.CheckResult("probe", "pass" if loaded else "fail", 0.0, 0.0, "trivial")]
+print("scipy.spatial" in sys.modules)
+suites._JOBS = {"probe": probe, "probe.again": probe}
+report = suites.run_suite(suites.SuiteConfig("all", workers=2))
+print(*(c.status for c in report.checks))
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="without fork the jobs run in the calling process",
+)
+def test_forked_jobs_start_with_scipy_spatial_loaded():
+    # the parent imports it once, so that no worker imports it again
+    before, statuses = _fresh(_PROBED_SUITES).splitlines()
+    assert before == "False"
+    assert statuses == "pass pass"
 
 
 def test_single_signal_forward_makes_no_orbit_gather():

@@ -9,10 +9,9 @@ and the centers alone can be refined to a stationary point by BFGS.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +40,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _cdist():
-    """hbf.cdist as bound at call time, else scipy's."""
-    return globals().get("cdist") or __getattr__("cdist")
-
-
 @dataclass(frozen=True)
 class HBFModel:
     """Centers, coefficients, radial width, and ridge regularization."""
@@ -56,8 +50,8 @@ class HBFModel:
     lam: float = 0.0
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        w = np.asarray(self.coeffs, dtype=float).ravel()
+        c = np.atleast_2d(_reals("centers", self.centers))
+        w = _reals("coeffs", self.coeffs).ravel()
         if c.shape[0] != w.size or c.shape[0] < 1:
             raise DimensionMismatch("one coefficient per center required")
         _finite("sigma", self.sigma, 0.0)
@@ -152,7 +146,8 @@ def _sq_dist(X: np.ndarray, t: np.ndarray):
     if X.shape[1] == t.shape[1] == 1:
         diff = X - t.T
         return diff * diff, diff
-    return _cdist()(X, t, "sqeuclidean"), None
+    cdist = globals().get("cdist") or __getattr__("cdist")
+    return cdist(X, t, "sqeuclidean"), None
 
 
 def _design(model: HBFModel, X: np.ndarray) -> np.ndarray:
@@ -270,9 +265,13 @@ def solve_coeffs(model: HBFModel, data: TrainingSet) -> SolveResult:
 
 
 def median_pairwise_distance(X) -> float:
-    """Default radial width: median pairwise distance of the inputs."""
+    """Default radial width: median pairwise distance of the inputs.
+
+    The distances are the square roots of _sq_dist's, which equal
+    cdist(X, X) bit for bit, so d = 1 imports no scipy.spatial.
+    """
     X = _points(X)
-    D = _cdist()(X, X)
+    D = np.sqrt(_sq_dist(X, X)[0])
     vals = D[np.triu_indices_from(D, k=1)]
     med = float(np.median(vals)) if vals.size else 1.0
     return med if med > 0 else 1.0
@@ -319,15 +318,6 @@ class TrainTrace:
     grad_inf_norms: np.ndarray
     converged: bool = False
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["iteration", "objective", "grad_inf_norm"])
-            for it, obj, gn in zip(
-                self.iterations, self.objectives, self.grad_inf_norms
-            ):
-                writer.writerow([int(it), repr(float(obj)), repr(float(gn))])
-
 
 def _trace(objectives, grad_inf_norms, converged: bool) -> TrainTrace:
     """The trace of iterations 1..k from the k recorded objectives and norms."""
@@ -343,7 +333,8 @@ def _iterate(model: HBFModel, centers: np.ndarray, coeffs: np.ndarray) -> HBFMod
     """model with new (n, d) centers and (n,) coeffs, both float arrays.
 
     Skips HBFModel's checks, which model has passed: training makes one
-    iterate per step, and sigma and lam are model's own.
+    iterate per step and refine_centers one per evaluation, and sigma and
+    lam are model's own.
     """
     new = object.__new__(HBFModel)
     new.__dict__.update(centers=centers, coeffs=coeffs, sigma=model.sigma, lam=model.lam)
@@ -437,7 +428,7 @@ def refine_centers(model: HBFModel, data: TrainingSet, grad_tol: float):
     shape = model.centers.shape
 
     def evaluate(x):
-        cur = replace(model, centers=x.reshape(shape))
+        cur = _iterate(model, x.reshape(shape), model.coeffs)
         return cur, objective(cur, data), grad_centers(cur, data).ravel()
 
     cur, h, g = evaluate(model.centers.ravel())
@@ -494,20 +485,18 @@ class FixedPointReport:
     skipped: tuple = ()  # center indices with degenerate denominators
 
 
-def center_fixed_point_residual(
-    model: HBFModel, data: TrainingSet, denom_tol: float = 1e-12
-) -> FixedPointReport:
+def center_fixed_point_residual(model: HBFModel, data: TrainingSet) -> FixedPointReport:
     """Stationary centers satisfy t_a = sum_i P_i^a x_i / sum_i P_i^a.
 
-    P_i^a = Delta_i G'(||x_i - t_a||^2). Centers whose denominator is below
-    denom_tol in magnitude are skipped and reported.
+    P_i^a = Delta_i G'(||x_i - t_a||^2). Centers whose denominator is at
+    most 1e-12 in magnitude are skipped and reported.
     """
     P = _center_weights(model, data)[0]
     denom = P.sum(axis=0)
     skipped = []
     worst = 0.0
     for a in range(model.n):
-        if abs(denom[a]) <= denom_tol:
+        if abs(denom[a]) <= 1e-12:
             skipped.append(a)
             continue
         t_hat = (P[:, a] @ data.inputs) / denom[a]
@@ -552,8 +541,8 @@ def model_from_json(text: str) -> HBFModel:
     for key in ("sigma", "lambda"):
         _finite(key, doc[key])
     return HBFModel(
-        centers=_reals("centers", doc["centers"]),
-        coeffs=_reals("coeffs", doc["coeffs"]),
+        centers=doc["centers"],
+        coeffs=doc["coeffs"],
         sigma=float(doc["sigma"]),
         lam=float(doc["lambda"]),
     )

@@ -8,9 +8,7 @@ nonlinearity and Gram-matrix / selectivity diagnostics round out the module.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -281,32 +279,30 @@ def step_kernel_numeric(
     xs2: float,
     p: float,
     grid_points: int = 100_000,
-    alpha: float = 1e4,
 ) -> float:
     """Trapezoid oracle for step_kernel_exact.
 
-    The step is replaced by its ramp approximation ``ramps.step_approx``,
-    alpha * (|s|_+ - |s - 1/alpha|_+), and the product integrated on a
-    uniform b-grid. All of it runs in one (3, grid_points) block made per
-    call, whose rows hold the integrand, the second step and the shifted
-    grid. One block, not several grid-sized arrays, because glibc raises
-    its mmap and trim thresholds once a block this large is freed, so the
-    next calls reuse heap memory instead of faulting in fresh pages. Each
-    step is formed in ``step_approx``'s order of operations, so the value
-    is the same bit for bit.
+    The step is replaced by its ramp approximation ``ramps.step_approx``
+    at alpha = 1e4, alpha * (|s|_+ - |s - 1/alpha|_+), and the product
+    integrated on a uniform b-grid. All of it runs in one (3, grid_points)
+    block made per call, whose rows hold the integrand, the second step and
+    the shifted grid. One block, not several grid-sized arrays, because
+    glibc raises its mmap and trim thresholds once a block this large is
+    freed, so the next calls reuse heap memory instead of faulting in fresh
+    pages. Each step is formed in ``step_approx``'s order of operations, so
+    the value is the same bit for bit.
     """
     _index("grid_points", grid_points, 1000)
     _check_projections(xs, xs2, p)
-    _finite("alpha", alpha, 0.0)
 
     b = _grid(p, grid_points)
     integrand, step, s = np.empty((3, grid_points))
     for out, x in ((integrand, xs), (step, xs2)):
         np.subtract(b, x, out=s)
         np.maximum(s, 0.0, out=out)
-        s -= 1.0 / alpha
+        s -= 1e-4
         out -= np.maximum(s, 0.0, out=s)
-        out *= alpha
+        out *= 1e4
     integrand *= step
     # np.trapezoid(integrand, b), in its order of operations
     mid = np.add(integrand[1:], integrand[:-1], out=s[:-1])
@@ -408,29 +404,6 @@ def gram(points, kernel) -> GramReport:
     )
 
 
-def gram_to_csv(report: GramReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["row", "col", "value"])
-        m = report.matrix.shape[0]
-        for i in range(m):
-            for j in range(m):
-                writer.writerow([i, j, repr(report.matrix[i, j])])
-
-
-def gram_summary_json(report: GramReport, n_points: int, kernel_id: str, seed: int) -> str:
-    return json.dumps(
-        {
-            "min_eig": report.min_eigenvalue,
-            "max_eig": report.max_eigenvalue,
-            "psd_pass": report.psd_pass,
-            "n_points": n_points,
-            "kernel_id": kernel_id,
-            "seed": seed,
-        }
-    )
-
-
 def mex_similarity(x: Signal, y: Signal, G: FiniteGroup, xi: float) -> float:
     """Log-mean-exp aggregation of the dot products <x, g y> over the group.
 
@@ -456,27 +429,24 @@ class MexScanResult:
 def mex_npsd_scan(
     max_instances: int = 1000,
     seed: int = 0,
-    dims=(2, 3, 4),
-    xis=(1.0, 5.0, 25.0),
-    n_points: int = 6,
-    eig_threshold: float = -1e-6,
 ) -> MexScanResult:
     """Randomized search for a non-PSD pairwise similarity matrix.
 
-    Each instance draws random unit vectors, builds the pairwise
-    log-mean-exp similarity matrix over a cyclic group, and checks its
-    smallest eigenvalue. Stops at the first eigenvalue below the threshold.
+    Each instance draws a dimension d in {2, 3, 4}, xi in {1, 5, 25} and
+    six random unit vectors, builds the pairwise log-mean-exp similarity
+    matrix over the cyclic group of order d, and checks its smallest
+    eigenvalue. Stops at the first eigenvalue below -1e-6.
     """
     rng = np.random.default_rng(_index("seed", seed, 0))
     worst = np.inf
     for trial in range(_index("max_instances", max_instances, 1)):
-        d = int(rng.choice(dims))
-        xi = float(rng.choice(xis))
+        d = int(rng.choice((2, 3, 4)))
+        xi = float(rng.choice((1.0, 5.0, 25.0)))
         G = cyclic_group(d)
-        pts = [normalize(rng.standard_normal(d)) for _ in range(n_points)]
+        pts = [normalize(rng.standard_normal(d)) for _ in range(6)]
         lo = gram(pts, lambda a, b: mex_similarity(a, b, G, xi)).min_eigenvalue
         worst = min(worst, lo)
-        if lo < eig_threshold:
+        if lo < -1e-6:
             return MexScanResult(
                 found=True,
                 instances_tried=trial + 1,

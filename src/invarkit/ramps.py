@@ -7,7 +7,6 @@ reproduce steps, triangular bumps, and least-squares fits of smooth targets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,14 +76,6 @@ class RampCombination:
 
     def breakpoints(self):
         return tuple(-sg * b for _, b, sg in self.units)
-
-    def to_json(self, grid=None, sup_error=None) -> str:
-        doc = {"units": [{"c": c, "b": b, "sign": sg} for c, b, sg in self.units]}
-        if grid is not None:
-            doc["grid"] = list(grid)
-        if sup_error is not None:
-            doc["sup_error"] = sup_error
-        return json.dumps(doc)
 
 
 def _ramp_basis(k: int, lo: float, hi: float):

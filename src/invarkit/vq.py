@@ -9,8 +9,6 @@ entries, so classification is a pure lookup in both cases.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,25 +135,6 @@ def classify(codebook, x):
         return NO_MATCH
 
 
-def family_to_json(family: PatternFamily) -> str:
-    return json.dumps(
-        {
-            "part_length": family.part_length,
-            "parts": [list(p) for p in family.parts],
-            "compositions": [list(c) for c in family.compositions],
-        }
-    )
-
-
-def family_from_json(text: str) -> PatternFamily:
-    doc = json.loads(text)
-    return PatternFamily(
-        part_length=doc["part_length"],
-        parts=tuple(tuple(p) for p in doc["parts"]),
-        compositions=tuple(tuple(c) for c in doc["compositions"]),
-    )
-
-
 def two_part_family(part_length: int) -> PatternFamily:
     """The reference family: two distinct parts and all four ordered pairs."""
     _index("part_length", part_length, 1)
@@ -169,22 +148,3 @@ def two_part_family(part_length: int) -> PatternFamily:
         parts=(a, b),
         compositions=((0, 1), (0, 0), (1, 1), (1, 0)),
     )
-
-
-def memory_sweep(part_lengths):
-    """Cost rows (family_id, N, vq_cost, hvq_cost, ratio) over the reference family."""
-    rows = []
-    for fid, half in enumerate(part_lengths):
-        fam = two_part_family(half)
-        vq = memory_cost(build_vq(fam))
-        hvq = memory_cost(build_hvq(fam))
-        rows.append((fid, 2 * half, vq, hvq, hvq / vq))
-    return rows
-
-
-def sweep_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["family_id", "N", "vq_cost", "hvq_cost", "ratio"])
-        for row in rows:
-            writer.writerow(list(row[:4]) + [repr(row[4])])

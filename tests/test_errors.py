@@ -212,6 +212,9 @@ _TEMPLATE = Signal(np.array([1.0, 0.0]))
         (lambda: ramps.hat_via_ramps(np.inf, 1.0), InvalidArgument),
         (lambda: ramps.hat_via_ramps(-np.inf, 1.0), InvalidArgument),
         (lambda: ramps.hat_via_ramps([0.0, np.nan], 1.0), InvalidArgument),
+        (lambda: hbf.HBFModel(**dict(_MODEL, coeffs=[np.nan])), InvalidArgument),
+        (lambda: hbf.HBFModel(**dict(_MODEL, centers=[[np.inf]])), InvalidArgument),
+        (lambda: hbf.HBFModel(**dict(_MODEL, centers=[["a"]])), InvalidArgument),
     ],
 )
 def test_non_finite_and_zero_inputs_raise_typed_errors(call, error):

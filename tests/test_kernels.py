@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 import threading
@@ -25,8 +24,6 @@ from invarkit.kernels import (
     arccos1_kernel,
     features,
     gram,
-    gram_summary_json,
-    gram_to_csv,
     k0_mc,
     ktilde_mc,
     ktilde_step,
@@ -420,18 +417,6 @@ class TestGram:
 
         with pytest.raises(KernelAsymmetric):
             gram(pts, lopsided)
-
-    def test_exports(self, tmp_path):
-        rng = np.random.default_rng(10)
-        pts = [normalize(rng.standard_normal(2)) for _ in range(3)]
-        report = gram(pts, lambda a, b: float(np.dot(a.values, b.values)))
-        csv_path = tmp_path / "gram.csv"
-        gram_to_csv(report, csv_path)
-        assert csv_path.read_text().startswith("row,col,value")
-        doc = json.loads(gram_summary_json(report, 3, "linear", 10))
-        assert set(doc) == {
-            "min_eig", "max_eig", "psd_pass", "n_points", "kernel_id", "seed",
-        }
 
 
 class TestMexSimilarity:

@@ -129,11 +129,6 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_ramp_combination(abs, (-1.0, 1.0, 15), 2)
 
-    def test_json_export(self):
-        combo, err = fit_ramp_combination(abs, (-1.0, 1.0, 100), 2)
-        doc = combo.to_json(grid=(-1.0, 1.0, 100), sup_error=err)
-        assert '"units"' in doc and '"sup_error"' in doc
-
 
 class TestRampCombination:
     def test_piecewise_linear_eval(self):

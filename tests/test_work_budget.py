@@ -210,6 +210,8 @@ note("sin task")
 for suite in ("kernels", "mex", "invariance", "ramps", "hvq"):
     suites.run_suite(suites.SuiteConfig(suite, samples=2000))
     note(f"{suite} suite")
+hbf.median_pairwise_distance([[0.0], [1.0], [3.0]])
+note("median distance at d = 1")
 model = hbf.HBFModel(np.zeros((2, 2)), np.ones(2), 1.0)
 hbf.objective(model, hbf.TrainingSet(rng.standard_normal((3, 2)), np.zeros(3)))
 note("objective at d = 2")
@@ -221,7 +223,7 @@ print("cdist" in vars(hbf))
 def test_scipy_spatial_loads_at_the_first_distance_at_d_2_alone():
     steps, bound = _fresh(_SCIPY_SPATIAL_STEPS).splitlines()
     loaded = json.loads(steps)
-    assert len(loaded) == 11
+    assert len(loaded) == 12
     assert loaded == {step: step == "objective at d = 2" for step in loaded}
     # not cached as a binding: a tracer installed later sees what one before did
     assert bound == "False"

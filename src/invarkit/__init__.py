@@ -6,11 +6,9 @@ from .signals import (
     Orbit,
     Signal,
     apply,
-    compose,
     cyclic_group,
     normalize,
     orbit,
-    verify_group_axioms,
 )
 from .pooling import (
     HWLayer,

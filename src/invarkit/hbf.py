@@ -28,6 +28,7 @@ from .errors import (
 )
 
 _JITTER_FLOOR = 1e-12
+_CAPACITY_THRESHOLD = 5.0  # examples per parameter that check_capacity asks for
 
 
 def __getattr__(name):
@@ -333,8 +334,8 @@ def _iterate(model: HBFModel, centers: np.ndarray, coeffs: np.ndarray) -> HBFMod
     """model with new (n, d) centers and (n,) coeffs, both float arrays.
 
     Skips HBFModel's checks, which model has passed: training makes one
-    iterate per step and refine_centers one per evaluation, and sigma and
-    lam are model's own.
+    iterate per step, refine_centers one per evaluation and the suites'
+    gradient check two per perturbed entry, and sigma and lam are model's own.
     """
     new = object.__new__(HBFModel)
     new.__dict__.update(centers=centers, coeffs=coeffs, sigma=model.sigma, lam=model.lam)
@@ -510,16 +511,15 @@ class CapacityReport:
     ok: bool
 
 
-def check_capacity(N: int, n: int, d: int, threshold: float = 5.0) -> CapacityReport:
-    """Examples-per-parameter ratio N / (n + n d); passes at >= threshold."""
+def check_capacity(N: int, n: int, d: int) -> CapacityReport:
+    """Examples-per-parameter ratio N / (n + n d); passes at >= 5."""
     for name, v in (("N", N), ("n", n), ("d", d)):
         _index(name, v, 1)
-    _finite("threshold", threshold)
     try:
         ratio = N / (n + n * d)
     except OverflowError as exc:  # an int ratio beyond float
         raise InvalidArgument("N / (n + n d) is too large for a float") from exc
-    return CapacityReport(ratio=float(ratio), ok=ratio >= threshold)
+    return CapacityReport(ratio=float(ratio), ok=ratio >= _CAPACITY_THRESHOLD)
 
 
 def model_to_json(model: HBFModel) -> str:

@@ -28,33 +28,20 @@ from .errors import (
 from .pooling import mex
 from .signals import FiniteGroup, Signal, cyclic_group, normalize
 
-TEMPLATE_LAWS = ("gaussian", "uniform_sphere")
-BIAS_LAWS = ("gaussian", "uniform")
-
 
 @dataclass(frozen=True)
 class TemplateSampler:
-    """Random law for (template, bias) draws; identical seed, identical stream.
+    """Gaussian templates and Gaussian biases; identical seed, identical stream.
 
-    The Gaussian/Gaussian configuration is the validation setup: absorbing
-    the bias into an augmented coordinate makes the induced kernel a
-    first-order arc-cosine kernel with a closed form.
+    This is the validation setup: absorbing the bias into an augmented
+    coordinate makes the induced kernel a first-order arc-cosine kernel with
+    a closed form.
     """
 
-    template_law: str = "gaussian"
-    bias_law: str = "gaussian"
-    bias_range: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.template_law not in TEMPLATE_LAWS:
-            raise InvalidArgument(f"unknown template law {self.template_law!r}")
-        if self.bias_law not in BIAS_LAWS:
-            raise InvalidArgument(f"unknown bias law {self.bias_law!r}")
         _index("seed", self.seed, 0)  # None would seed from OS entropy
-        _finite("bias_range", self.bias_range)
-        if self.bias_law == "uniform" and not self.bias_range > 0:
-            raise InvalidArgument("uniform bias law needs bias_range > 0")
 
     def draw(self, d: int, S: int, stream: int = 0):
         """Draw S templates (rows) and biases; ``stream`` derives a substream.
@@ -77,12 +64,7 @@ def _draw(sampler: TemplateSampler, d: int, S: int, stream: int):
         np.random.SeedSequence(entropy=sampler.seed, spawn_key=(stream,))
     )
     T = rng.standard_normal((S, d))
-    if sampler.template_law == "uniform_sphere":
-        T /= np.linalg.norm(T, axis=1, keepdims=True)
-    if sampler.bias_law == "gaussian":
-        b = rng.standard_normal(S)
-    else:
-        b = rng.uniform(-sampler.bias_range, sampler.bias_range, S)
+    b = rng.standard_normal(S)
     T.flags.writeable = False
     b.flags.writeable = False
     return T, b, {}

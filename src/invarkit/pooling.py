@@ -171,9 +171,7 @@ class HWLayer:
     """Templates + biases + group + pooling: one convolution-and-pool layer.
 
     softmax pooling consumes rectified dot products without bias (the raw
-    expression is sign-ambiguous for odd orders); set ``softmax_raw`` to
-    feed the raw dot products instead. Raw mode carries no invariance or
-    kernel claims.
+    expression is sign-ambiguous for odd orders).
 
     The layer builds its orbit stack once: a read-only (T, |G|, d) array,
     the T*|G| rows g t template-major and in ``group.elements`` order. It
@@ -184,7 +182,6 @@ class HWLayer:
     biases: tuple
     group: FiniteGroup
     pooling: PoolingSpec
-    softmax_raw: bool = False
     __reduce__ = _by_constructor
 
     def __post_init__(self):
@@ -214,8 +211,8 @@ class HWLayer:
 def layer_forward(x, layer: HWLayer) -> np.ndarray:
     """Pooled signature of x: one value per (template, bias), template-major.
 
-    x is one signal (a Signal, or a plain vector for unnormalized
-    between-layer signatures) or an (m, d) block of them, one per row. A
+    x is one signal (a Signal, or a plain vector such as a between-layer
+    signature) or an (m, d) block of them, one per row. A
     block gives an (m, T*B) array whose row i is the signature of row i.
     """
     xv = np.asarray(x, dtype=float)
@@ -234,7 +231,7 @@ def layer_forward(x, layer: HWLayer) -> np.ndarray:
     for dots in per_template:
         if spec.kind == "softmax":
             # softmax takes no bias, so each template's row is pooled once per bias
-            s = dots if layer.softmax_raw else np.maximum(dots, 0.0)
+            s = np.maximum(dots, 0.0)
             cols += [pool(s, spec) for _ in b]
         else:
             rows = dots + b  # (B, ..., |G|)
@@ -244,10 +241,9 @@ def layer_forward(x, layer: HWLayer) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HWNetwork:
-    """A stack of layers; signatures are renormalized between layers by default."""
+    """A stack of layers; signatures are renormalized between layers."""
 
     layers: tuple
-    renormalize_between_layers: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -270,13 +266,10 @@ def network_forward(x, net: HWNetwork) -> np.ndarray:
     for i, layer in enumerate(net.layers):
         sig = layer_forward(cur, layer)
         if i + 1 < len(net.layers):
-            if net.renormalize_between_layers:
-                norm = np.linalg.norm(sig, axis=-1, keepdims=True)
-                if (norm < 1e-300).any():
-                    raise ZeroSignature(f"layer {i} produced a zero signature")
-                cur = sig / norm
-            else:
-                cur = sig
+            norm = np.linalg.norm(sig, axis=-1, keepdims=True)
+            if (norm < 1e-300).any():
+                raise ZeroSignature(f"layer {i} produced a zero signature")
+            cur = sig / norm
     return sig
 
 

@@ -23,7 +23,7 @@ def _by_constructor(obj):
     A pickled or copied object is then checked again, and its arrays are
     read-only again; restoring the instance dict would leave them writeable.
     """
-    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj) if f.init)
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,35 @@ class FiniteGroup:
     """An explicit finite group of coordinate permutations.
 
     ``elements[k]`` is a permutation array ``p`` acting on a vector ``x`` as
-    ``(g x)[j] = x[p[j]]``.
+    ``(g x)[j] = x[p[j]]``. Every row must be an integer permutation of
+    ``range(d)``, and ``identity_index`` is the first row equal to
+    ``arange(d)``; elements that break either rule raise InvalidArgument.
     """
 
     elements: np.ndarray  # (order, d) int array
-    identity_index: int = 0
+    identity_index: int = field(init=False)
     __reduce__ = _by_constructor
 
     def __post_init__(self):
-        e = np.asarray(self.elements, dtype=np.intp)
-        e = e.copy() if e is self.elements else e  # read-only, but not the caller's
+        try:
+            e = np.asarray(self.elements)
+        except ValueError as exc:  # ragged nesting
+            raise InvalidArgument("elements must be an (order, d) integer array") from exc
         if e.ndim != 2:
             raise DimensionMismatch("elements must be an (order, d) array")
+        if e.dtype.kind not in "iu":
+            raise InvalidArgument(f"elements must be integers, not {e.dtype} values")
+        e = e.astype(np.intp, copy=False)
+        e = e.copy() if e is self.elements else e  # read-only, but not the caller's
+        idx = np.arange(e.shape[1])
+        if not (np.sort(e, axis=1) == idx).all():
+            raise InvalidArgument("every element must be a permutation of range(d)")
+        is_identity = (e == idx).all(axis=1)
+        if not is_identity.any():
+            raise InvalidArgument("elements hold no identity row arange(d)")
         e.setflags(write=False)
         object.__setattr__(self, "elements", e)
+        object.__setattr__(self, "identity_index", int(is_identity.argmax()))
 
     @property
     def order(self) -> int:
@@ -121,7 +136,7 @@ def cyclic_group(d: int) -> FiniteGroup:
     _index("d", d, 1, error=DimensionMismatch)
     idx = np.arange(d)
     elements = np.stack([(idx - k) % d for k in range(d)])
-    return FiniteGroup(elements=elements, identity_index=0)
+    return FiniteGroup(elements=elements)
 
 
 def apply(g: np.ndarray, x: Signal) -> Signal:
@@ -137,56 +152,3 @@ def orbit(G: FiniteGroup, x: Signal) -> Orbit:
     if G.dim != x.dim:
         raise DimensionMismatch(f"group dim {G.dim} != signal dim {x.dim}")
     return Orbit(representative=x, members=[apply(g, x) for g in G])
-
-
-def compose(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Permutation for g∘h, i.e. apply h first, then g."""
-    g = np.asarray(g, dtype=np.intp)
-    h = np.asarray(h, dtype=np.intp)
-    return h[g]
-
-
-@dataclass(frozen=True)
-class GroupAxiomReport:
-    closure_ok: bool
-    identity_ok: bool
-    inverses_ok: bool
-    failures: tuple = ()
-
-    @property
-    def all_ok(self) -> bool:
-        return self.closure_ok and self.identity_ok and self.inverses_ok
-
-
-def verify_group_axioms(G: FiniteGroup) -> GroupAxiomReport:
-    """Exhaustively check closure, identity, and inverses over all element pairs."""
-    elems = [tuple(g) for g in G.elements]
-    table = set(elems)
-    failures = []
-
-    identity = tuple(range(G.dim))
-    identity_ok = identity in table
-    if not identity_ok:
-        failures.append("identity missing")
-
-    closure_ok = True
-    for i, g in enumerate(G.elements):
-        for j, h in enumerate(G.elements):
-            if tuple(compose(g, h)) not in table:
-                closure_ok = False
-                failures.append(f"composition of elements {i},{j} not in group")
-
-    inverses_ok = True
-    for i, g in enumerate(G.elements):
-        inv = np.empty_like(g)
-        inv[g] = np.arange(G.dim)
-        if tuple(inv) not in table:
-            inverses_ok = False
-            failures.append(f"inverse of element {i} not in group")
-
-    return GroupAxiomReport(
-        closure_ok=closure_ok,
-        identity_ok=identity_ok,
-        inverses_ok=inverses_ok,
-        failures=tuple(failures),
-    )

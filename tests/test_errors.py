@@ -7,7 +7,7 @@ import pytest
 
 from invarkit import hbf, kernels, pooling, ramps, vq
 from invarkit.errors import DimensionMismatch, InvalidArgument, InvarkitError, ZeroVector
-from invarkit.signals import Signal, cyclic_group
+from invarkit.signals import FiniteGroup, Signal, cyclic_group
 
 _MODEL = dict(centers=[[0.0]], coeffs=[1.0], sigma=1.0)
 _DATA = dict(inputs=[[0.0], [1.0]], targets=[0.0, 1.0])
@@ -65,7 +65,6 @@ _LAYER_JSON = {"dim": 2, "group": "dihedral", "templates": [[1.0, 0.0]], "biases
         lambda: pooling.PoolingSpec("softmax", n=2.0),
         lambda: pooling.PoolingSpec("mex", xi="x"),
         lambda: hbf.check_capacity(1.5, 2, 3),
-        lambda: hbf.check_capacity(10, 1, 1, threshold=np.nan),
         lambda: kernels.KernelEstimate(value=0.0, stderr=0.0, samples=2.5),
         lambda: ramps.step_approx(0.5, np.inf),
         lambda: ramps.hat_via_ramps(0.5, np.inf),
@@ -84,10 +83,16 @@ _LAYER_JSON = {"dim": 2, "group": "dihedral", "templates": [[1.0, 0.0]], "biases
         lambda: kernels.mex_npsd_scan(max_instances=1, seed=1.5),
         lambda: pooling.mex([1.0, 2.0], np.nan),
         lambda: kernels.TemplateSampler(seed=np.array(3)),
-        lambda: kernels.TemplateSampler(bias_range=np.array(1.0)),
         lambda: vq.two_part_family(1.5),
         lambda: vq.classify(vq.build_vq(vq.two_part_family(2)), "abcd"),
         lambda: hbf.check_capacity(10**400, 1, 1),
+        lambda: FiniteGroup([[0.5, 1]]),
+        lambda: FiniteGroup([[0.0, 1.0]]),
+        lambda: FiniteGroup([[0, 7]]),
+        lambda: FiniteGroup([[0, 1], [-1, 0]]),
+        lambda: FiniteGroup([[0, 0]]),
+        lambda: FiniteGroup([[1, 0]]),
+        lambda: FiniteGroup([[0, 1], [0]]),
     ],
 )
 def test_bare_value_errors_are_typed(call):

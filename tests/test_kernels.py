@@ -51,22 +51,10 @@ def _fresh_draw(sampler, d, S, stream=0):
         np.random.SeedSequence(entropy=sampler.seed, spawn_key=(stream,))
     )
     T = rng.standard_normal((S, d))
-    if sampler.template_law == "uniform_sphere":
-        T /= np.linalg.norm(T, axis=1, keepdims=True)
-    if sampler.bias_law == "gaussian":
-        b = rng.standard_normal(S)
-    else:
-        b = rng.uniform(-sampler.bias_range, sampler.bias_range, S)
-    return T, b
+    return T, rng.standard_normal(S)
 
 
-_SAMPLERS = (
-    TemplateSampler(seed=0),
-    TemplateSampler(seed=1),
-    TemplateSampler(
-        template_law="uniform_sphere", bias_law="uniform", bias_range=0.5, seed=0
-    ),
-)
+_SAMPLERS = (TemplateSampler(seed=0), TemplateSampler(seed=1))
 _DRAW_ARGS = [
     (s, d, S, stream)
     for s in _SAMPLERS for d in (3, 5) for S in (7, 11) for stream in (0, 1)
@@ -883,18 +871,9 @@ class TestKernelArgumentErrors:
         with pytest.raises(InvalidArgument):
             TemplateSampler(seed=seed)
 
-    @pytest.mark.parametrize("bias_law", ["gaussian", "uniform"])
-    @pytest.mark.parametrize("bias_range", [np.inf, -np.inf, np.nan, "1", None])
-    def test_sampler_rejects_non_finite_bias_range(self, bias_law, bias_range):
-        with pytest.raises(InvalidArgument):
-            TemplateSampler(bias_law=bias_law, bias_range=bias_range)
-
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: TemplateSampler(template_law="cauchy"),
-            lambda: TemplateSampler(bias_law="laplace"),
-            lambda: TemplateSampler(bias_law="uniform", bias_range=0.0),
             lambda: KernelEstimate(value=0.0, stderr=0.0, samples=1),
             lambda: step_kernel_numeric(0.0, 0.0, 1.0, grid_points=999),
             lambda: gram([normalize([1.0])], lambda a, b: 1.0),

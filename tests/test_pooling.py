@@ -206,6 +206,11 @@ def _identity_layer(t, b):
     )
 
 
+def _rect_id(spec):
+    """Test id of a pooling spec; every layer pools rectified responses."""
+    return f"{spec.kind}-rect"
+
+
 class TestLayerForward:
     # With the identity as its only group element, a layer returns the
     # rectified template match max(<x, t> + b, 0).
@@ -266,21 +271,20 @@ class TestLayerForward:
             layer_forward(normalize([1.0, 0.0]), layer)
 
     @pytest.mark.parametrize(
-        "spec, raw",
+        "spec",
         [
-            (PoolingSpec("sum"), False),
-            (PoolingSpec("max"), False),
-            (PoolingSpec("mean"), False),
-            (PoolingSpec("softmax", n=3), False),
-            (PoolingSpec("softmax", n=3), True),
-            (PoolingSpec("softmax", n=2), True),
-            (PoolingSpec("mex", xi=2.0), False),
-            (PoolingSpec("mex", xi=-3.0), False),
+            PoolingSpec("sum"),
+            PoolingSpec("max"),
+            PoolingSpec("mean"),
+            PoolingSpec("softmax", n=3),
+            pytest.param(PoolingSpec("softmax", n=2), id="softmax2-rect"),
+            PoolingSpec("mex", xi=2.0),
+            PoolingSpec("mex", xi=-3.0),
         ],
-        ids=lambda p: getattr(p, "kind", "raw" if p else "rect"),
+        ids=_rect_id,
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equals_per_pair_loop(self, spec, raw, seed):
+    def test_equals_per_pair_loop(self, spec, seed):
         rng = np.random.default_rng(seed)
         d = 8 + 4 * seed
         layer = HWLayer(
@@ -288,7 +292,6 @@ class TestLayerForward:
             biases=(-0.3, 0.0, 0.1, 0.4),
             group=cyclic_group(d),
             pooling=spec,
-            softmax_raw=raw,
         )
         for x in (normalize(rng.standard_normal(d)), rng.standard_normal(d)):
             assert np.array_equal(
@@ -305,7 +308,7 @@ def _layer_forward_reference(x, layer):
         dots = t.values[layer.group.elements] @ xv
         for b in layer.biases:
             if layer.pooling.kind == "softmax":
-                s = dots if layer.softmax_raw else np.maximum(dots, 0.0)
+                s = np.maximum(dots, 0.0)
             else:
                 s = np.maximum(dots + b, 0.0)
             out[k] = pool(s, layer.pooling)
@@ -422,25 +425,6 @@ class TestNetworkForward:
         expected = layer_forward(mid / np.linalg.norm(mid), layer2)
         np.testing.assert_allclose(network_forward(x, net), expected)
 
-    def test_without_renormalization_feeds_raw_signature(self):
-        rng = np.random.default_rng(3)
-        layer1 = HWLayer(
-            templates=tuple(normalize(rng.standard_normal(3)) for _ in range(2)),
-            biases=(0.0, 0.4),
-            group=cyclic_group(3),
-            pooling=PoolingSpec("mex", xi=2.0),
-        )
-        layer2 = HWLayer(
-            templates=(normalize(rng.standard_normal(4)),),
-            biases=(-0.1, 0.2),
-            group=cyclic_group(4),
-            pooling=PoolingSpec("max"),
-        )
-        net = HWNetwork(layers=(layer1, layer2), renormalize_between_layers=False)
-        x = normalize(rng.standard_normal(3))
-        expected = layer_forward(layer_forward(x, layer1), layer2)
-        np.testing.assert_array_equal(network_forward(x, net), expected)
-
     def test_zero_signature_raises(self):
         dead = HWLayer(
             templates=(normalize([1.0, 0.0]),),
@@ -498,7 +482,7 @@ class TestInvariance:
         from invarkit.signals import FiniteGroup
 
         full = cyclic_group(4)
-        subset = FiniteGroup(elements=full.elements[:2], identity_index=0)
+        subset = FiniteGroup(elements=full.elements[:2])
         layer = HWLayer(
             templates=(normalize([1.0, 0.0, 0.0, 0.0]),),
             biases=(0.0,),
@@ -607,14 +591,13 @@ class TestBlockPooling:
             pool(np.empty((3, 0)), PoolingSpec("max"))
 
 
-def _block_layer(spec, raw=False, d=12, seed=0):
+def _block_layer(spec, d=12, seed=0):
     rng = np.random.default_rng(seed)
     return HWLayer(
         templates=tuple(normalize(rng.standard_normal(d)) for _ in range(3)),
         biases=(-0.3, 0.0, 0.1, 0.4),
         group=cyclic_group(d),
         pooling=spec,
-        softmax_raw=raw,
     )
 
 
@@ -629,12 +612,12 @@ def _invariance_gap_reference(x, layer):
 
 class TestBlockForward:
     @pytest.mark.parametrize(
-        "spec, raw",
-        [(s, False) for s in _BLOCK_SPECS] + [(PoolingSpec("softmax", n=2), True)],
-        ids=lambda p: getattr(p, "kind", "raw" if p else "rect"),
+        "spec",
+        _BLOCK_SPECS + [pytest.param(PoolingSpec("softmax", n=2), id="softmax2-rect")],
+        ids=_rect_id,
     )
-    def test_block_rows_equal_single_forwards(self, spec, raw):
-        layer = _block_layer(spec, raw)
+    def test_block_rows_equal_single_forwards(self, spec):
+        layer = _block_layer(spec)
         rng = np.random.default_rng(1)
         unit = normalize(rng.standard_normal(12)).values
         X = np.vstack([rng.standard_normal((4, 12)), unit])
@@ -663,7 +646,10 @@ class TestBlockForward:
         # two of the d >= 3 shifts are not a group: their gap is of order one
         two = FiniteGroup(full.group.elements[:2])
         part = HWLayer(full.templates, full.biases, two, spec)
-        for layer in (full, part):
+        # the identity is row 2 here, and each gap is taken from it
+        shuffled = FiniteGroup(full.group.elements[[1, 2, 0]])
+        moved = HWLayer(full.templates, full.biases, shuffled, spec)
+        for layer in (full, part, moved):
             gap = invariance_gap(x, layer)
             assert abs(gap - _invariance_gap_reference(x, layer)) <= 1e-15
         assert invariance_gap(x, part) > 1e-3
